@@ -12,8 +12,8 @@ Each payload carries its own bounds:
   coordinator's per-task overhead).
 
 The check fails if a bound regresses, if a bounded metric is missing, or
-if a payload carrying ``array_s``/``after_s`` stopped having the array
-phase strictly faster than the batched one.
+if a payload carrying ``array_s``/``before_s`` stopped having the array
+phase strictly faster than the scalar-oracle one.
 
 Usage::
 
@@ -53,10 +53,10 @@ def check(payload: dict) -> list[str]:
                             "from the payload")
         elif value > ceiling:
             problems.append(f"{metric}: {value:.2f} above ceiling {ceiling}")
-    array_s, after_s = payload.get("array_s"), payload.get("after_s")
-    if array_s is not None and after_s is not None and array_s >= after_s:
+    array_s, before_s = payload.get("array_s"), payload.get("before_s")
+    if array_s is not None and before_s is not None and array_s >= before_s:
         problems.append(f"array phase ({array_s:.2f}s) not strictly faster "
-                        f"than batched ({after_s:.2f}s)")
+                        f"than scalar ({before_s:.2f}s)")
     return problems
 
 

@@ -38,19 +38,6 @@ def pacram_reference_config(vendor: str,
     return PaCRAMConfig.from_catalog(module_id, factor)
 
 
-def effective_sim_kernel(sim_kernel: str | None, check_mode: str) -> str:
-    """Deprecated shim: the kernel a run will actually use.
-
-    Resolution (including the checking-forces-the-oracle rule) lives in
-    :class:`repro.exec.ExecutionPolicy`; this survives for pre-policy
-    callers and is equivalent to
-    ``checked_kernel("sim", sim_kernel, check_protocol=check_mode)``.
-    """
-    from repro.exec import checked_kernel
-
-    return checked_kernel("sim", sim_kernel, check_protocol=check_mode)
-
-
 def run_simulation(workload_names: tuple[str, ...], *,
                    mitigation: str = "None", nrh: int = 1024,
                    pacram: PaCRAMConfig | None = None,
@@ -74,7 +61,7 @@ def run_simulation(workload_names: tuple[str, ...], *,
     ``violations_path`` is given, in a deterministic JSONL ledger there.
 
     ``sim_kernel`` selects the controller drain loop (``"scalar"`` oracle
-    or the bit-exact ``"batched"`` fast path; ``None`` = process default);
+    or the bit-exact ``"array"`` fast path; ``None`` = process default);
     checking forces the scalar oracle.  ``cache`` (a
     :class:`~repro.analysis.baselines.BaselineCache`) memoizes unchecked
     no-PaCRAM runs across calls — sweep points share their baselines
@@ -111,7 +98,7 @@ def run_simulation(workload_names: tuple[str, ...], *,
         policy = PaCRAM(config, pacram)
         effective_nrh = pacram.scaled_nrh(nrh)
     mechanism = make_mitigation(mitigation, effective_nrh,
-                                batched=(kernel in ("batched", "array")),
+                                batched=(kernel == "array"),
                                 config=config)
     checker = make_checker(
         config, mode=mode,

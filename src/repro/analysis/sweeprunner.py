@@ -147,7 +147,7 @@ class SweepGrid:
     requests: int = 2_000
     #: Protocol-checker mode for every point ("off" | "tolerant" | "strict").
     check_protocol: str = "off"
-    #: Simulation kernel for every point ("scalar" | "batched"; None =
+    #: Simulation kernel for every point ("scalar" | "array"; None =
     #: process default).  Checking forces the scalar oracle regardless.
     sim_kernel: str | None = None
 

@@ -304,10 +304,10 @@ def fold_probe_states(timing, columns_per_row: int, tras_red_ns: float,
     hammer counts (one per victim row, as the bisection diverges per row),
     returns ``(wait_ns, equivalent)`` float64 arrays — the victim's idle
     time since its last restoration at the read, and its per-aggressor
-    double-sided dose.  Every elementwise operation replicates the scalar
-    fold's expression order (see
-    :func:`repro.characterization.vectorized._probe_state`), so the folded
-    doses are bit-identical to stepping each program.
+    double-sided dose.  Every elementwise operation replicates the
+    stepping executor's expression order (including the distinct clock
+    accumulation of the unrolled vs. macro restoration forms), so the
+    folded doses are bit-identical to stepping each program.
     """
     import numpy as np
 

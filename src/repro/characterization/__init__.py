@@ -25,7 +25,7 @@ from repro.characterization.sweeps import (
     sweep_temperature,
     sweep_tras,
 )
-from repro.characterization.vectorized import measure_rows
+from repro.characterization.arraykernel import measure_rows_array
 from repro.characterization.halfdouble import halfdouble_row_fraction
 from repro.characterization.retention import retention_failure_fractions
 
@@ -34,7 +34,7 @@ __all__ = [
     "RowMeasurement",
     "CharacterizationConfig",
     "measure_row",
-    "measure_rows",
+    "measure_rows_array",
     "perform_rh",
     "ProbeCache",
     "select_test_rows",

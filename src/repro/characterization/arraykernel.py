@@ -1,9 +1,11 @@
 """Array-native form of Algorithm 1 (the characterization ``array`` tier).
 
-:func:`measure_rows_array` produces :class:`RowMeasurement` values
-bit-identical to the vectorized fast path (and therefore to the scalar
-oracle — the parity suite asserts both), but replaces the per-probe
-evaluation loop with whole-batch array operations built on two facts:
+:func:`measure_rows_array` measures a whole batch of victim rows at one
+test point, producing :class:`RowMeasurement` values bit-identical to
+calling :func:`repro.characterization.algorithm1.measure_row` per row (the
+scalar path is the parity oracle — see
+``tests/test_characterization_array.py``).  Instead of evaluating each
+probe, it runs whole-batch array operations built on two facts:
 
 * a probe's dose is an analytic function of its hammer count, folded for a
   whole vector of counts at once by
@@ -46,7 +48,7 @@ def measure_rows_array(host: DRAMBenderHost, bank: int, victims, *,
                        ) -> list[RowMeasurement]:
     """Measure a batch of victim rows at one test point (Alg. 1, array tier).
 
-    Bit-identical to :func:`repro.characterization.vectorized.measure_rows`
+    Bit-identical to ``[measure_row(host, bank, v, ...) for v in victims]``
     — same validation errors, same worst-case-pattern tie-breaks, same
     bisection trajectory — with the search driven by the analytic
     flips-vs-none predicate instead of per-probe model evaluations.

@@ -1,19 +1,17 @@
 """Characterization campaigns: the sweeps behind Figs. 6-12.
 
 Every sweep runs exactly the paper's Algorithm 1 at many test points,
-through one of three device kernels:
+through one of two device kernels:
 
-* ``vectorized`` (default) — :func:`~repro.characterization.vectorized.
-  measure_rows` measures the whole row batch per test point through the
-  bank-level kernels;
-* ``array`` — :func:`~repro.characterization.arraykernel.measure_rows_array`
-  drives the same batch through the analytic flips-vs-none predicate, with
+* ``array`` (default) — :func:`~repro.characterization.arraykernel.
+  measure_rows_array` measures the whole row batch per test point through
+  the bank-level kernels and the analytic flips-vs-none predicate, with
   no per-probe model evaluations inside the bisection;
 * ``scalar`` — a thin loop over :func:`~repro.characterization.algorithm1.
-  measure_row` with a shared :class:`ProbeCache`, the parity oracle for the
-  fast paths.
+  measure_row` with a shared :class:`ProbeCache`, the parity oracle for
+  the array kernel.
 
-All kernels produce bit-identical results (the parity suite asserts it).
+Both kernels produce bit-identical results (the parity suite asserts it).
 The full-scale paper campaign (3K rows x 7 latencies x many restoration
 counts x 3 temperatures x 30 modules) is supported but slow; callers pick
 the scale through ``per_region`` and the swept values.
@@ -27,7 +25,6 @@ from repro.characterization.arraykernel import measure_rows_array
 from repro.characterization.probecache import ProbeCache
 from repro.characterization.results import ModuleCharacterization
 from repro.characterization.rows import select_test_bank, select_test_rows
-from repro.characterization.vectorized import measure_rows
 from repro.dram.kernels import EvalCounters
 from repro.dram.timing import TESTED_TRAS_FACTORS
 from repro.errors import CharacterizationError
@@ -66,7 +63,7 @@ def characterize_module(module_id: str, *,
     ``kernel`` selects the device kernel (see module docstring; ``None``
     resolves through the default :class:`repro.exec.ExecutionPolicy`);
     results are bit-identical either way, including measurement order.
-    Pass an :class:`EvalCounters` to observe the vectorized kernel's model
+    Pass an :class:`EvalCounters` to observe the array kernel's model
     work.  ``cache_dir`` persists the scalar kernel's probe cache there
     (the campaign's ``probe_cache/`` tier).
     """
@@ -91,15 +88,13 @@ def characterize_module(module_id: str, *,
     cache = ProbeCache(disk_dir=cache_dir) if kernel == "scalar" else None
     for temperature in temperatures_c:
         host.set_temperature(temperature)
-        if kernel in ("vectorized", "array"):
+        if kernel == "array":
             # Measure all rows per test point in one batch, then emit the
             # measurements in the same order the scalar loop would.
-            batch_measure = (measure_rows_array if kernel == "array"
-                             else measure_rows)
             by_point: dict[tuple[float, int], list] = {}
             for factor in factors:
                 for n_pr in n_pr_values:
-                    by_point[(factor, n_pr)] = batch_measure(
+                    by_point[(factor, n_pr)] = measure_rows_array(
                         host, bank, rows,
                         tras_red_ns=factor * nominal,
                         n_pr=n_pr, config=config, counters=counters)

@@ -12,8 +12,6 @@ from repro.characterization.campaign import (
 )
 from repro.cli.shared import (
     add_cache_tier_flag,
-    add_deprecated_device_kernel_flag,
-    add_deprecated_sim_kernel_flag,
     add_kernel_policy_flag,
     add_scheduler_flags,
     install_policy,
@@ -91,7 +89,5 @@ def register(subparsers) -> None:
     campaign_parser.add_argument("--force", action="store_true",
                                  help="re-run every module and clear every "
                                       "persisted cache tier under --dir")
-    add_deprecated_device_kernel_flag(campaign_parser)
-    add_deprecated_sim_kernel_flag(campaign_parser)
     add_scheduler_flags(campaign_parser, "module")
     campaign_parser.set_defaults(func=cmd_campaign)

@@ -12,7 +12,7 @@ Bit-exactness contract
 ----------------------
 The vectorized kernels must produce *bit-identical* results to the scalar
 path — the scalar path is the parity oracle (see
-``tests/test_characterization_vectorized.py``).  Two rules keep that true:
+``tests/test_characterization_array.py``).  Two rules keep that true:
 
 * every elementwise arithmetic step replicates the scalar expression's
   exact operation order and parenthesization (IEEE-754 ``+ - * /`` are
@@ -50,19 +50,16 @@ from repro.units import MS
 
 @dataclass
 class EvalCounters:
-    """Device-model evaluation counters for the fast path.
+    """Device-model evaluation counters for the array kernel.
 
     ``model_evals`` counts per-row physics evaluations actually performed
     (a probe over ``k`` active rows adds ``k``); ``probe_batches`` counts
-    vectorized probe calls; ``cache_hits`` counts probes served from a
-    memo instead of being evaluated.  The CI smoke test bounds
-    ``model_evals`` per measured row — a counter, not a wall clock, so it
-    cannot flake.
+    vectorized probe calls.  The CI smoke test bounds ``model_evals`` per
+    measured row — a counter, not a wall clock, so it cannot flake.
     """
 
     model_evals: int = 0
     probe_batches: int = 0
-    cache_hits: int = 0
 
     def evals_per_row_point(self, rows: int, points: int) -> float:
         """Average model evaluations per (row, test-point) pair."""

@@ -17,7 +17,6 @@ behind both the probe and baseline caches).
 
 from repro.exec.parity import assert_all_parity, assert_parity, parity_diff
 from repro.exec.policy import (
-    AUTO_KERNELS,
     KERNEL_POLICIES,
     STAGE_KERNELS,
     ExecutionPolicy,
@@ -28,11 +27,9 @@ from repro.exec.policy import (
     resolve_kernel,
     set_default_policy,
     validate_stage_kernel,
-    warn_deprecated_flag,
 )
 
 __all__ = [
-    "AUTO_KERNELS",
     "KERNEL_POLICIES",
     "STAGE_KERNELS",
     "ExecutionPolicy",
@@ -46,5 +43,4 @@ __all__ = [
     "resolve_kernel",
     "set_default_policy",
     "validate_stage_kernel",
-    "warn_deprecated_flag",
 ]

@@ -1,33 +1,27 @@
 """The single kernel-resolution site of the repository.
 
 Every execution layer used to pick its kernel on its own: the CLI forced
-the scalar oracle under ``--check-protocol`` in two places,
-:meth:`MemorySystem.run` special-cased observers, and
-``effective_sim_kernel`` duplicated the forcing for library callers.  An
+the scalar oracle under ``--check-protocol`` in two places, and
+:meth:`MemorySystem.run` special-cased observers.  An
 :class:`ExecutionPolicy` replaces all of that: it is built once per
 invocation (CLI) or once per process (library default), and every layer
 asks it which concrete kernel to run.
 
-Stages and their kernels::
+Each stage has exactly two kernels, the scalar oracle and one fast path::
 
-    stage     scalar oracle   fast path    array tier
-    device    scalar          vectorized   array        (repro.dram.kernels)
-    sim       scalar          batched      array        (repro.sim.kernels)
-    host      stepping        compiled     -            (repro.bender.compile)
+    stage     scalar oracle   fast path
+    device    scalar          array        (repro.characterization.arraykernel)
+    sim       scalar          array        (repro.sim.arraykernel)
+    host      stepping        compiled     (repro.bender.compile)
 
-The sim stage's array tier additionally switches mitigation dispatch
+The sim stage's array kernel additionally switches mitigation dispatch
 from per-activation calls to the epoch protocol
 (:meth:`repro.mitigations.base.MitigationMechanism.on_activation_epoch`)
 — a kernel-level change only; the policy still just names the kernel.
 
-``kernel_policy`` selects per stage: ``"scalar"`` runs every oracle,
-``"fast"`` every fast path, ``"array"`` the numpy structure-of-arrays tier
-(falling back to the fastest kernel on stages without one — the host
-stage's compiled fold), and ``"auto"`` (default) the stage's historical
-default (vectorized / batched / stepping).  Per-stage overrides
-(``device_kernel`` / ``sim_kernel`` / ``host_kernel`` — the old CLI flags'
-deprecation targets) beat the policy; an explicit kernel passed at a call
-site beats both.  Protocol checking (``check_protocol != "off"``) beats
+``kernel_policy`` is ``"scalar"`` (every oracle) or ``"auto"`` (default:
+every stage's fast path).  An explicit kernel passed at a call site beats
+the policy.  Protocol checking (``check_protocol != "off"``) beats
 everything: the checker observes the instruction-level oracles, so the
 scalar kernel is forced and the "oracle forced" note is emitted exactly
 once per policy (i.e. once per CLI invocation).
@@ -41,35 +35,21 @@ other module grows its own kernel-selection branching again.
 from __future__ import annotations
 
 import sys
-import warnings
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
 
-#: Per-stage kernel names: stage -> (scalar oracle, fast path[, array
-#: tier]).  The first name is always the oracle, the second the historical
-#: fast path; stages with a numpy structure-of-arrays backend list it
-#: third.
-STAGE_KERNELS: dict[str, tuple[str, ...]] = {
-    "device": ("scalar", "vectorized", "array"),
-    "sim": ("scalar", "batched", "array"),
+#: Per-stage kernel names: stage -> (scalar oracle, fast path).  Results
+#: are bit-identical between the two; the parity suites assert it.
+STAGE_KERNELS: dict[str, tuple[str, str]] = {
+    "device": ("scalar", "array"),
+    "sim": ("scalar", "array"),
     "host": ("stepping", "compiled"),
 }
 
-#: What ``auto`` resolves to per stage — the pre-policy defaults, kept so
-#: adopting the policy changes no default behavior (the host stage keeps
-#: the stepping executor as the safe default; ``fast`` opts into the
-#: compiled fold).
-AUTO_KERNELS: dict[str, str] = {
-    "device": "vectorized",
-    "sim": "batched",
-    "host": "stepping",
-}
-
-#: The selectable policies (``--kernel-policy``).  ``array`` picks each
-#: stage's structure-of-arrays tier where one exists and the fastest
-#: remaining kernel elsewhere.
-KERNEL_POLICIES = ("scalar", "fast", "array", "auto")
+#: The selectable policies (``--kernel-policy``): ``scalar`` runs every
+#: oracle, ``auto`` every stage's fast path.
+KERNEL_POLICIES = ("scalar", "auto")
 
 
 def _check_modes() -> tuple[str, ...]:
@@ -122,9 +102,6 @@ class ExecutionPolicy:
 
     kernel_policy: str = "auto"
     check_protocol: str = "off"
-    device_kernel: str | None = None
-    sim_kernel: str | None = None
-    host_kernel: str | None = None
     cache_tier: str = "auto"
     #: Whether the once-per-invocation "oracle forced" note went out.
     _oracle_noted: bool = field(default=False, init=False, repr=False,
@@ -143,48 +120,27 @@ class ExecutionPolicy:
             raise ConfigError(
                 f"cache tier must be auto/disk/memory/off, "
                 f"got {self.cache_tier!r}")
-        for stage, override in (("device", self.device_kernel),
-                                ("sim", self.sim_kernel),
-                                ("host", self.host_kernel)):
-            if override is not None:
-                validate_stage_kernel(stage, override)
 
     # ------------------------------------------------------------------
     # resolution (the one place kernels are chosen)
     # ------------------------------------------------------------------
-    def _override(self, stage: str) -> str | None:
-        return {"device": self.device_kernel, "sim": self.sim_kernel,
-                "host": self.host_kernel}[stage]
-
     def kernel_for(self, stage: str, explicit: str | None = None, *,
                    observer: bool = False) -> str:
         """The concrete kernel ``stage`` should run, checking aside.
 
         Precedence: an ``explicit`` call-site kernel, then (for the sim
-        stage) the attached-observer safety default, then the policy's
-        per-stage override, then ``kernel_policy``.
+        stage) the attached-observer safety default, then
+        ``kernel_policy``.
         """
-        names = STAGE_KERNELS[stage]
-        scalar = names[0]
         if explicit is not None:
             return validate_stage_kernel(stage, explicit)
-        if observer:
-            # An attached observer re-validates the per-request command
-            # stream; the oracle is the safe default unless a kernel was
-            # requested explicitly.
+        scalar, fast = STAGE_KERNELS[stage]
+        # An attached observer re-validates the per-request command
+        # stream; the oracle is the safe default unless a kernel was
+        # requested explicitly.
+        if observer or self.kernel_policy == "scalar":
             return scalar
-        override = self._override(stage)
-        if override is not None:
-            return override
-        if self.kernel_policy == "scalar":
-            return scalar
-        if self.kernel_policy == "fast":
-            return names[1]
-        if self.kernel_policy == "array":
-            # The stage's array tier, or the fastest kernel it has (the
-            # host stage folds doses analytically either way).
-            return names[-1]
-        return AUTO_KERNELS[stage]
+        return fast
 
     def checked_kernel_for(self, stage: str, explicit: str | None = None, *,
                            check_protocol: str | None = None) -> str:
@@ -274,10 +230,3 @@ def checked_kernel(stage: str, explicit: str | None = None, *,
     :meth:`ExecutionPolicy.checked_kernel_for`."""
     return _default_policy.checked_kernel_for(
         stage, explicit, check_protocol=check_protocol)
-
-
-def warn_deprecated_flag(flag: str, replacement: str) -> None:
-    """One warning per deprecated CLI flag (the shims' shared voice)."""
-    warnings.warn(
-        f"{flag} is deprecated; use {replacement}",
-        DeprecationWarning, stacklevel=3)

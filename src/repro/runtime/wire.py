@@ -173,10 +173,18 @@ def recv_frame(sock: socket.socket) -> dict | None:
                          f"(cap {MAX_FRAME_BYTES}); corrupt length prefix?")
     blob = _recv_exact(sock, length, eof_ok=False)
     if flags & _FLAG_ZLIB:
+        # Inflate at most one byte past the cap: a small frame must not
+        # decompress into gigabytes any more than a large one may claim it.
+        inflater = zlib.decompressobj()
         try:
-            blob = zlib.decompress(blob)
+            blob = inflater.decompress(blob, MAX_FRAME_BYTES + 1)
         except zlib.error as error:
             raise FrameError(f"bad compressed frame: {error}") from error
+        if len(blob) > MAX_FRAME_BYTES:
+            raise FrameError(f"compressed frame inflates past "
+                             f"{MAX_FRAME_BYTES} bytes (cap)")
+        if not inflater.eof:
+            raise FrameError("bad compressed frame: truncated stream")
     try:
         message = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as error:

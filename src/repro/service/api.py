@@ -40,6 +40,7 @@ from __future__ import annotations
 import base64
 import json
 import socket
+import sys
 import threading
 import time
 from collections import deque
@@ -196,8 +197,12 @@ class CharacterizationService:
                 self._queued.discard(job_id)
             try:
                 self.manager.run(job_id)
-            except Exception:  # noqa: BLE001 — recorded as failed in store
-                pass
+            except Exception as error:  # noqa: BLE001 — keep serving
+                # A failed run is also recorded in the store, but a
+                # failure before the run is claimed (load, "already
+                # running", a transition) is not: this line is its trace.
+                print(f"serve-api: job {job_id} failed: "
+                      f"{type(error).__name__}: {error}", file=sys.stderr)
 
     # ------------------------------------------------------------------
     # frame server

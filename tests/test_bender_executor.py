@@ -3,12 +3,19 @@
 import pytest
 
 from repro.bender.executor import ProgramExecutor
+from repro.bender.host import DRAMBenderHost
 from repro.bender.isa import WriteRow
 from repro.bender.program import TestProgram
+from repro.characterization.algorithm1 import perform_rh
 from repro.dram.disturbance import DataPattern
 from repro.dram.module import DRAMModule
-from repro.errors import ProgramError
+from repro.errors import ConfigError, ProgramError
 from repro.units import MS
+
+#: (tras_factor, n_pr) probe points: nominal latency, a mid reduction, and
+#: a deep reduction; n_pr = 20 exercises the bulk Restore macro
+#: (> UNROLL_LIMIT).
+PROBE_POINTS = ((1.00, 1), (0.45, 4), (0.18, 20))
 
 
 @pytest.fixture()
@@ -88,3 +95,51 @@ class TestExecution:
         result = executor.execute(program)
         assert result.flips("victim") > 0
         assert result.duration_ns >= 64 * MS
+
+
+class TestCompiledExecutor:
+    @pytest.mark.parametrize("module_id", ("H5", "M6", "S6"))
+    def test_probe_parity_with_stepping(self, module_id):
+        stepping = DRAMBenderHost(module_id, kernel="stepping")
+        compiled = DRAMBenderHost(module_id, kernel="compiled")
+        nominal = stepping.module.timing.tRAS
+        for factor, n_pr in PROBE_POINTS:
+            for hc in (0, 1_000, 100_000):
+                args = (1, 20, DataPattern.ROW_STRIPE, hc,
+                        factor * nominal, n_pr)
+                assert (perform_rh(stepping, *args)
+                        == perform_rh(compiled, *args))
+        assert stepping.module.clock_ns == compiled.module.clock_ns
+
+    def test_protocol_errors_preserved(self):
+        host = DRAMBenderHost("H5", kernel="compiled")
+        program = host.new_program().act(0, 5).act(0, 6)
+        with pytest.raises(ProgramError, match=r"\[1\] ACT to open bank 0"):
+            host.run(program)
+        program = host.new_program().pre(0)
+        with pytest.raises(ProgramError, match=r"\[0\] PRE on closed bank 0"):
+            host.run(program)
+        program = host.new_program().act(0, 5)
+        with pytest.raises(ProgramError, match="still open"):
+            host.run(program)
+
+    def test_unknown_host_kernel_rejected(self):
+        with pytest.raises(ConfigError, match="host kernel"):
+            DRAMBenderHost("H5", kernel="quantum")
+
+
+class TestExecutionResultFlips:
+    def test_missing_key_raises_program_error(self, host_h5):
+        program = host_h5.new_program()
+        program.init_rows(1, 5, (4, 6), DataPattern.ROW_STRIPE)
+        program.check_bitflips(1, 5, key="victim")
+        result = host_h5.run(program)
+        with pytest.raises(ProgramError, match="no bitflip count recorded"):
+            result.flips("victm")  # typo'd key
+        with pytest.raises(ProgramError, match="recorded keys: victim"):
+            result.flips("aggressor")
+
+    def test_empty_result_names_no_keys(self):
+        from repro.bender.executor import ExecutionResult
+        with pytest.raises(ProgramError, match="<none>"):
+            ExecutionResult().flips("anything")

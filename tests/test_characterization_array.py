@@ -1,8 +1,9 @@
-"""Parity and plumbing tests for the vectorized characterization fast path.
+"""Parity and plumbing tests for the array characterization kernel.
 
 The scalar Algorithm 1 path is the oracle: every test here asserts the
-vectorized kernels (bank-level trait arrays, analytic probe folding, probe
-memoization) reproduce it *bit-exactly*, not approximately.
+array kernel (bank-level trait arrays, analytic probe folding, the
+flips-vs-none bisection predicate) reproduces it *bit-exactly*, not
+approximately.
 """
 
 import pytest
@@ -11,15 +12,12 @@ from repro.bender.host import DRAMBenderHost
 from repro.characterization.algorithm1 import (
     CharacterizationConfig,
     measure_row,
-    perform_rh,
 )
 from repro.characterization.arraykernel import measure_rows_array
 from repro.characterization.probecache import ProbeCache
 from repro.characterization.sweeps import characterize_module
-from repro.characterization.vectorized import measure_rows
-from repro.dram.disturbance import DataPattern
 from repro.dram.kernels import EvalCounters
-from repro.errors import CharacterizationError, ConfigError, ProgramError
+from repro.errors import CharacterizationError, ConfigError
 from repro.exec.parity import assert_all_parity, assert_parity
 from repro.validation.physics import model_digest
 
@@ -40,9 +38,8 @@ def _testable_rows(host: DRAMBenderHost, count: int = 8) -> tuple[int, ...]:
 
 
 class TestScalarParity:
-    @pytest.mark.parametrize("batch_measure", (measure_rows,
-                                               measure_rows_array),
-                             ids=("vectorized", "array"))
+    @pytest.mark.parametrize("batch_measure", (measure_rows_array,),
+                             ids=("array",))
     @pytest.mark.parametrize("module_id", PARITY_MODULES)
     @pytest.mark.parametrize("temperature", (80.0, 50.0))
     def test_bit_exact_measurements(self, module_id, temperature,
@@ -71,7 +68,7 @@ class TestScalarParity:
         for i, row in enumerate(rows):
             assert fresh.module.row_population(1, row).traits is batch.traits[i]
 
-    @pytest.mark.parametrize("fast_kernel", ("vectorized", "array"))
+    @pytest.mark.parametrize("fast_kernel", ("array",))
     def test_characterize_module_kernels_identical(self, fast_kernel):
         kw = dict(tras_factors=(0.45,), n_prs=(1, 4), per_region=4, seed=11)
         assert_parity(
@@ -83,11 +80,11 @@ class TestScalarParity:
     def test_same_validation_errors(self):
         host = DRAMBenderHost("H5")
         with pytest.raises(CharacterizationError, match="tras_red_ns"):
-            measure_rows(host, 1, (3, 4), tras_red_ns=-1.0)
+            measure_rows_array(host, 1, (3, 4), tras_red_ns=-1.0)
         with pytest.raises(CharacterizationError, match="n_pr"):
-            measure_rows(host, 1, (3, 4), n_pr=0)
+            measure_rows_array(host, 1, (3, 4), n_pr=0)
         with pytest.raises(CharacterizationError, match="physical neighbors"):
-            measure_rows(host, 1, (3, 0))  # row 0 sits at the bank edge
+            measure_rows_array(host, 1, (3, 0))  # row 0 sits at the bank edge
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ConfigError, match="device kernel"):
@@ -97,27 +94,19 @@ class TestScalarParity:
 
 class TestEvalCounters:
     def test_fast_path_model_work_is_bounded(self):
-        """CI smoke bound: the fast path performs a fixed, small number of
-        model evaluations per measured row-point (counter-based, so it
+        """CI smoke bound: the array kernel performs a fixed, small number
+        of model evaluations per measured row-point (counter-based, so it
         cannot flake on machine speed)."""
         host = DRAMBenderHost("H5")
         rows = _testable_rows(host)
         counters = EvalCounters()
-        measure_rows(host, 1, rows, tras_red_ns=0.45 * 33.0, n_pr=4,
-                     config=FAST, counters=counters)
-        # ~6 WCDP probes + 1 retention + ~7 bisection per row-point.
-        assert counters.evals_per_row_point(len(rows), 1) <= 20
-        assert counters.probe_batches > 0
-
-    def test_repeated_probes_hit_the_memo(self):
-        host = DRAMBenderHost("H5")
-        rows = _testable_rows(host)
-        counters = EvalCounters()
-        config = CharacterizationConfig(iterations=3)
-        measure_rows(host, 1, rows, tras_red_ns=0.45 * 33.0,
-                     config=config, counters=counters)
-        # The BER probe re-reads the WCDP scan's hc_high probe per row.
-        assert counters.cache_hits >= len(rows)
+        measure_rows_array(host, 1, rows, tras_red_ns=0.45 * 33.0, n_pr=4,
+                           config=FAST, counters=counters)
+        # One hc_high probe per pattern plus its retention component; the
+        # bisection itself evaluates no flip values.
+        patterns = len(FAST.patterns)
+        assert counters.evals_per_row_point(len(rows), 1) == patterns + 1
+        assert counters.probe_batches == patterns + 1
 
 
 class TestProbeCache:
@@ -167,51 +156,3 @@ class TestProbeCache:
     def test_bad_maxsize_rejected(self):
         with pytest.raises(ValueError):
             ProbeCache(maxsize=0)
-
-
-class TestCompiledExecutor:
-    @pytest.mark.parametrize("module_id", ("H5", "M6", "S6"))
-    def test_probe_parity_with_stepping(self, module_id):
-        stepping = DRAMBenderHost(module_id, kernel="stepping")
-        compiled = DRAMBenderHost(module_id, kernel="compiled")
-        nominal = stepping.module.timing.tRAS
-        for factor, n_pr in PARITY_POINTS:
-            for hc in (0, 1_000, 100_000):
-                args = (1, 20, DataPattern.ROW_STRIPE, hc,
-                        factor * nominal, n_pr)
-                assert (perform_rh(stepping, *args)
-                        == perform_rh(compiled, *args))
-        assert stepping.module.clock_ns == compiled.module.clock_ns
-
-    def test_protocol_errors_preserved(self):
-        host = DRAMBenderHost("H5", kernel="compiled")
-        program = host.new_program().act(0, 5).act(0, 6)
-        with pytest.raises(ProgramError, match=r"\[1\] ACT to open bank 0"):
-            host.run(program)
-        program = host.new_program().pre(0)
-        with pytest.raises(ProgramError, match=r"\[0\] PRE on closed bank 0"):
-            host.run(program)
-        program = host.new_program().act(0, 5)
-        with pytest.raises(ProgramError, match="still open"):
-            host.run(program)
-
-    def test_unknown_host_kernel_rejected(self):
-        with pytest.raises(ConfigError, match="host kernel"):
-            DRAMBenderHost("H5", kernel="quantum")
-
-
-class TestExecutionResultFlips:
-    def test_missing_key_raises_program_error(self, host_h5):
-        program = host_h5.new_program()
-        program.init_rows(1, 5, (4, 6), DataPattern.ROW_STRIPE)
-        program.check_bitflips(1, 5, key="victim")
-        result = host_h5.run(program)
-        with pytest.raises(ProgramError, match="no bitflip count recorded"):
-            result.flips("victm")  # typo'd key
-        with pytest.raises(ProgramError, match="recorded keys: victim"):
-            result.flips("aggressor")
-
-    def test_empty_result_names_no_keys(self):
-        from repro.bender.executor import ExecutionResult
-        with pytest.raises(ProgramError, match="<none>"):
-            ExecutionResult().flips("anything")

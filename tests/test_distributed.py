@@ -125,6 +125,28 @@ class TestFrames:
             recv_frame(right)
         left.close(), right.close()
 
+    def test_inflation_past_cap_rejected(self, monkeypatch):
+        from repro.runtime import wire
+
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 4096)
+        left, right = _socket_pair()
+        # ~40 KB of JSON that zlib crushes far below the cap on the wire.
+        sent = send_frame(left, {"blob": "x" * 40_000})
+        assert sent < 4096
+        with pytest.raises(FrameError, match="inflates past 4096"):
+            recv_frame(right)
+        left.close(), right.close()
+
+    def test_truncated_compressed_frame_rejected(self):
+        import struct
+        import zlib
+        left, right = _socket_pair()
+        blob = zlib.compress(b'{"blob": "' + b"x" * 5000 + b'"}')[:-6]
+        left.sendall(struct.pack("!BI", 1, len(blob)) + blob)
+        with pytest.raises(FrameError, match="bad compressed frame"):
+            recv_frame(right)
+        left.close(), right.close()
+
     def test_non_object_frame_rejected(self):
         import struct
         left, right = _socket_pair()

@@ -1,14 +1,12 @@
 """The execution policy: the repository's single kernel-resolution site.
 
 Covers the resolution precedence matrix, the once-per-invocation "oracle
-forced" note, the deprecated per-stage CLI flags (which must keep working,
-warn once, and stay byte-identical to their ``--kernel-policy``
-equivalents), and a lint test that keeps kernel selection from leaking back
-into individual layers.
+forced" note, the rejection of the removed policy names and per-stage
+kernel flags, and a lint test that keeps kernel selection from leaking
+back into individual layers.
 """
 
 import re
-import warnings
 from pathlib import Path
 
 import pytest
@@ -16,7 +14,6 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigError
 from repro.exec import (
-    AUTO_KERNELS,
     KERNEL_POLICIES,
     STAGE_KERNELS,
     ExecutionPolicy,
@@ -26,93 +23,87 @@ from repro.exec import (
     set_default_policy,
     validate_stage_kernel,
 )
-from repro.runtime import REPORT_NAME
 from repro.validation import default_check_mode
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 class TestResolutionMatrix:
-    def test_auto_preserves_pre_policy_defaults(self):
+    def test_auto_picks_every_fast_kernel(self):
         policy = ExecutionPolicy()
-        for stage in STAGE_KERNELS:
-            assert policy.kernel_for(stage) == AUTO_KERNELS[stage]
+        assert policy.kernel_for("device") == "array"
+        assert policy.kernel_for("sim") == "array"
+        assert policy.kernel_for("host") == "compiled"
+        for stage, names in STAGE_KERNELS.items():
+            assert policy.kernel_for(stage) == names[1]
 
     def test_scalar_policy_runs_every_oracle(self):
         policy = ExecutionPolicy(kernel_policy="scalar")
         for stage, names in STAGE_KERNELS.items():
             assert policy.kernel_for(stage) == names[0]
 
-    def test_fast_policy_runs_every_fast_path(self):
-        policy = ExecutionPolicy(kernel_policy="fast")
-        for stage, names in STAGE_KERNELS.items():
-            assert policy.kernel_for(stage) == names[1]
-
-    def test_array_policy_picks_array_tier_or_fastest(self):
-        policy = ExecutionPolicy(kernel_policy="array")
-        assert policy.kernel_for("device") == "array"
-        assert policy.kernel_for("sim") == "array"
-        # The host stage has no array tier; the fastest kernel stands in.
-        assert policy.kernel_for("host") == "compiled"
-
-    def test_stage_override_beats_policy(self):
-        policy = ExecutionPolicy(kernel_policy="fast", sim_kernel="scalar")
-        assert policy.kernel_for("sim") == "scalar"
-        assert policy.kernel_for("device") == "vectorized"
-
-    def test_explicit_beats_override_and_policy(self):
-        policy = ExecutionPolicy(kernel_policy="scalar", sim_kernel="scalar")
-        assert policy.kernel_for("sim", "batched") == "batched"
+    def test_explicit_beats_policy(self):
+        policy = ExecutionPolicy(kernel_policy="scalar")
+        assert policy.kernel_for("sim", "array") == "array"
+        assert ExecutionPolicy().kernel_for("host", "stepping") == "stepping"
 
     def test_observer_forces_oracle_unless_explicit(self):
-        policy = ExecutionPolicy(kernel_policy="fast")
+        policy = ExecutionPolicy()
         assert policy.kernel_for("sim", observer=True) == "scalar"
-        assert policy.kernel_for("sim", "batched", observer=True) == "batched"
+        assert policy.kernel_for("sim", "array", observer=True) == "array"
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError, match="kernel policy"):
             ExecutionPolicy(kernel_policy="ludicrous")
 
+    @pytest.mark.parametrize("removed", ("fast", "array"))
+    def test_removed_policy_names_rejected(self, removed):
+        with pytest.raises(ConfigError,
+                           match=r"one of \('scalar', 'auto'\)"):
+            ExecutionPolicy(kernel_policy=removed)
+
     def test_unknown_override_rejected(self):
+        # The per-stage overrides are gone: a stage is steered by the
+        # policy or by an explicit call-site kernel, nothing in between.
+        for field in ("device_kernel", "sim_kernel", "host_kernel"):
+            with pytest.raises(TypeError, match=field):
+                ExecutionPolicy(**{field: "scalar"})
         with pytest.raises(ConfigError, match="sim kernel"):
-            ExecutionPolicy(sim_kernel="turbo")
+            ExecutionPolicy().kernel_for("sim", "batched")
 
     def test_unknown_stage_rejected(self):
         with pytest.raises(ConfigError, match="unknown execution stage"):
             validate_stage_kernel("gpu", "scalar")
 
     def test_policies_cover_stage_kernels(self):
-        assert KERNEL_POLICIES == ("scalar", "fast", "array", "auto")
-        for stage, names in STAGE_KERNELS.items():
-            assert len(names) in (2, 3)
-            assert AUTO_KERNELS[stage] in names
+        assert KERNEL_POLICIES == ("scalar", "auto")
+        for names in STAGE_KERNELS.values():
+            assert len(names) == 2
 
 
 class TestCheckedResolution:
     @pytest.mark.parametrize("mode", ("tolerant", "strict"))
     def test_checking_forces_every_oracle(self, mode):
-        policy = ExecutionPolicy(kernel_policy="fast", check_protocol=mode)
+        policy = ExecutionPolicy(check_protocol=mode)
         for stage, names in STAGE_KERNELS.items():
             assert policy.checked_kernel_for(stage) == names[0]
-            # Even an explicit fast-tier request is overridden.
-            for fast in names[1:]:
-                assert policy.checked_kernel_for(stage, fast) == names[0]
+            # Even an explicit fast-kernel request is overridden.
+            assert policy.checked_kernel_for(stage, names[1]) == names[0]
 
     def test_off_leaves_resolution_alone(self):
-        policy = ExecutionPolicy(kernel_policy="fast")
-        assert policy.checked_kernel_for("sim") == "batched"
+        policy = ExecutionPolicy()
+        assert policy.checked_kernel_for("sim") == "array"
 
     def test_per_call_mode_overrides_policy_mode(self):
-        policy = ExecutionPolicy(kernel_policy="fast", check_protocol="off")
+        policy = ExecutionPolicy(check_protocol="off")
         assert policy.checked_kernel_for(
             "sim", check_protocol="strict") == "scalar"
         checked = ExecutionPolicy(check_protocol="strict")
         assert checked.checked_kernel_for(
-            "sim", check_protocol="off") == "batched"
+            "sim", check_protocol="off") == "array"
 
     def test_note_emitted_exactly_once_per_policy(self, capsys):
-        policy = ExecutionPolicy(kernel_policy="fast",
-                                 check_protocol="strict")
+        policy = ExecutionPolicy(check_protocol="strict")
         for _ in range(3):
             policy.checked_kernel_for("sim")
             policy.checked_kernel_for("device")
@@ -126,8 +117,7 @@ class TestCheckedResolution:
         assert capsys.readouterr().err == ""
 
     def test_with_overrides_resets_the_note(self, capsys):
-        policy = ExecutionPolicy(kernel_policy="fast",
-                                 check_protocol="strict")
+        policy = ExecutionPolicy(check_protocol="strict")
         policy.checked_kernel_for("sim")
         copy = policy.with_overrides()
         copy.checked_kernel_for("sim")
@@ -154,7 +144,7 @@ class TestDefaultPolicy:
 
     def test_non_policy_rejected(self):
         with pytest.raises(ConfigError):
-            set_default_policy("fast")
+            set_default_policy("auto")
 
     def test_cache_tier_gating(self):
         assert ExecutionPolicy().persistent_caches()
@@ -165,64 +155,29 @@ class TestDefaultPolicy:
             ExecutionPolicy(cache_tier="tape")
 
 
-class TestDeprecatedShims:
-    """Satellite: the old flags keep working, warn once, and resolve to
-    the byte-identical kernels their ``--kernel-policy`` twins pick."""
+class TestRemovedKernelFlags:
+    """The per-stage kernel flags and the ``fast``/``array`` policy names
+    are gone without aliases: argparse rejects them and names the valid
+    choices."""
 
-    def test_set_default_sim_kernel_warns_and_lands_as_override(self):
-        from repro.sim.kernels import default_sim_kernel, set_default_sim_kernel
+    @pytest.mark.parametrize("stage", sorted(STAGE_KERNELS))
+    @pytest.mark.parametrize("command", (["sweep"], ["campaign"],
+                                         ["run", "profiling"]))
+    def test_per_stage_flags_rejected(self, command, stage, capsys):
+        flag = f"--{stage}-kernel"
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + [flag, STAGE_KERNELS[stage][0]])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-        with pytest.warns(DeprecationWarning, match="set_default_sim_kernel"):
-            set_default_sim_kernel("scalar")
-        assert default_policy().sim_kernel == "scalar"
-        assert default_sim_kernel() == "scalar"
-
-    def test_effective_sim_kernel_matches_checked_kernel(self):
-        from repro.analysis.runner import effective_sim_kernel
-
-        assert effective_sim_kernel("batched", "strict") == "scalar"
-        assert effective_sim_kernel(None, "off") \
-            == checked_kernel("sim", check_protocol="off")
-
-    def _sweep(self, tmp_path, name, extra):
-        out = tmp_path / name
-        argv = ["sweep", "--dir", str(out), "--jobs", "1",
-                "--mitigations", "Graphene", "--nrh", "128",
-                "--requests", "300"] + extra
-        assert main(argv) == 0
-        rows = {p.name: p.read_bytes() for p in sorted(out.glob("*.json"))
-                if p.name != REPORT_NAME}  # run metadata, not a result row
-        assert rows
-        return rows
-
-    def test_cli_sim_kernel_flag_warns_once(self, tmp_path):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            self._sweep(tmp_path, "shim", ["--sim-kernel", "scalar"])
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "--sim-kernel" in str(deprecations[0].message)
-
-    def test_cli_shim_byte_identical_to_policy_flag(self, tmp_path, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = self._sweep(tmp_path, "shim", ["--sim-kernel", "scalar"])
-        policy = self._sweep(tmp_path, "policy", ["--kernel-policy", "scalar"])
-        assert shim == policy
-
-    def test_cli_device_kernel_shim_byte_identical(self, tmp_path, capsys):
-        def campaign(name, extra):
-            out = tmp_path / name
-            assert main(["campaign", "--dir", str(out), "--jobs", "1",
-                         "--modules", "M2", "--rows", "4"] + extra) == 0
-            return (out / "M2.json").read_bytes()
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = campaign("shim", ["--device-kernel", "scalar"])
-        policy = campaign("policy", ["--kernel-policy", "scalar"])
-        assert shim == policy
+    @pytest.mark.parametrize("name", ("fast", "array"))
+    def test_removed_policy_names_rejected(self, name, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--kernel-policy", name])
+        assert excinfo.value.code == 2
+        # Python 3.12 started quoting the choices; accept either form.
+        assert re.search(r"choose from '?scalar'?, '?auto'?\)",
+                         capsys.readouterr().err)
 
 
 class TestCliPolicyWiring:
@@ -230,7 +185,7 @@ class TestCliPolicyWiring:
         out = tmp_path / "checked"
         assert main(["sweep", "--dir", str(out), "--jobs", "1",
                      "--mitigations", "Graphene,PARA", "--nrh", "128",
-                     "--requests", "300", "--kernel-policy", "fast",
+                     "--requests", "300",
                      "--check-protocol", "tolerant"]) == 0
         err = capsys.readouterr().err
         assert err.count("oracle") == 1

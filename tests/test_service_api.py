@@ -170,6 +170,28 @@ class TestServiceEndToEnd:
         finally:
             svc.stop()
 
+    def test_runner_reports_failures_outside_the_run(self, service,
+                                                     tmp_path, capsys):
+        # A store that cannot load the job fails before JobManager.run
+        # records anything; the runner must say so instead of going quiet.
+        record, _ = JobManager(tmp_path / "jobs").submit(
+            JobSpec("sweep", tiny_grid()))
+
+        def unreadable(job_id):
+            raise OSError(f"cannot read {job_id}")
+
+        service.manager.store.load = unreadable
+        service._enqueue(record)
+        expected = (f"serve-api: job {record.job_id} failed: "
+                    f"OSError: cannot read {record.job_id}")
+        err = ""
+        deadline = time.monotonic() + 30.0
+        while expected not in err and time.monotonic() < deadline:
+            time.sleep(0.02)
+            err += capsys.readouterr().err
+        assert expected in err
+        assert err.count("serve-api:") == 1
+
 
 # ----------------------------------------------------------------------
 # hostile and confused clients

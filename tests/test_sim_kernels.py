@@ -1,6 +1,6 @@
-"""Batched system-simulation kernel: knob plumbing and bit-exact parity.
+"""Array system-simulation kernel: knob plumbing and bit-exact parity.
 
-The batched kernel (:mod:`repro.sim.kernels`) is a performance
+The array kernel (:mod:`repro.sim.arraykernel`) is a performance
 reimplementation of the scalar drain loop — the acceptance bar is that a
 run's *entire* :class:`SimulationResult` (IPC, energy, latency summary,
 every controller counter) and, with an observer attached, the full command
@@ -11,8 +11,14 @@ fuzzes it.
 
 import pytest
 
-from repro.analysis.runner import effective_sim_kernel
 from repro.errors import ConfigError
+from repro.exec import (
+    STAGE_KERNELS,
+    ExecutionPolicy,
+    checked_kernel,
+    resolve_kernel,
+    set_default_policy,
+)
 from repro.exec.parity import assert_all_parity, assert_parity
 from repro.mitigations import MITIGATION_CLASSES, make_mitigation
 from repro.mitigations.batched import (
@@ -21,12 +27,6 @@ from repro.mitigations.batched import (
     BatchedPARA,
 )
 from repro.sim.config import SystemConfig
-from repro.sim.kernels import (
-    SIM_KERNELS,
-    default_sim_kernel,
-    resolve_sim_kernel,
-    set_default_sim_kernel,
-)
 from repro.sim.system import MemorySystem
 from repro.workloads.synth import TraceSpec, generate_trace
 
@@ -42,9 +42,9 @@ def _run_pair(config, trace_seeds, *, mitigation=None, nrh=256,
               batched_mitigation=False, policy_factory=None, **trace_kw):
     """Run identical systems through both kernels; return both results."""
     results = []
-    for kernel in ("scalar", "batched"):
+    for kernel in ("scalar", "array"):
         traces = [_trace(seed=s, **trace_kw) for s in trace_seeds]
-        batched = batched_mitigation and kernel == "batched"
+        batched = batched_mitigation and kernel == "array"
         mechanism = (make_mitigation(mitigation, nrh, batched=batched,
                                      config=config)
                      if mitigation else None)
@@ -57,26 +57,23 @@ def _run_pair(config, trace_seeds, *, mitigation=None, nrh=256,
 
 class TestKernelKnob:
     def test_known_kernels(self):
-        assert SIM_KERNELS == ("scalar", "batched", "array")
-        for kernel in SIM_KERNELS:
-            assert resolve_sim_kernel(kernel) == kernel
+        assert STAGE_KERNELS["sim"] == ("scalar", "array")
+        for kernel in STAGE_KERNELS["sim"]:
+            assert resolve_kernel("sim", kernel) == kernel
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ConfigError):
-            resolve_sim_kernel("turbo")
+        for removed in ("turbo", "batched"):
+            with pytest.raises(ConfigError, match="scalar.*array"):
+                resolve_kernel("sim", removed)
 
     def test_default_roundtrip(self):
-        original = default_sim_kernel()
-        try:
-            set_default_sim_kernel("scalar")
-            assert default_sim_kernel() == "scalar"
-            with pytest.raises(ConfigError):
-                set_default_sim_kernel("nope")
-        finally:
-            set_default_sim_kernel(original)
+        set_default_policy(ExecutionPolicy(kernel_policy="scalar"))
+        assert resolve_kernel("sim") == "scalar"
+        set_default_policy(ExecutionPolicy())
+        assert resolve_kernel("sim") == "array"
 
-    def test_default_is_batched(self):
-        assert default_sim_kernel() == "batched"
+    def test_default_is_array(self):
+        assert resolve_kernel("sim") == "array"
 
     def test_run_rejects_unknown_kernel(self, single_core_config):
         system = MemorySystem(single_core_config, [_trace(requests=10)])
@@ -84,10 +81,13 @@ class TestKernelKnob:
             system.run("turbo")
 
     def test_checking_forces_scalar(self):
-        assert effective_sim_kernel("batched", "strict") == "scalar"
-        assert effective_sim_kernel("batched", "tolerant") == "scalar"
-        assert effective_sim_kernel("batched", "off") == "batched"
-        assert effective_sim_kernel(None, "off") == default_sim_kernel()
+        assert checked_kernel("sim", "array", check_protocol="strict") \
+            == "scalar"
+        assert checked_kernel("sim", "array", check_protocol="tolerant") \
+            == "scalar"
+        assert checked_kernel("sim", "array", check_protocol="off") == "array"
+        assert checked_kernel("sim", check_protocol="off") \
+            == resolve_kernel("sim")
 
     def test_observer_defaults_to_scalar(self, single_core_config):
         observer = _RecordingObserver()
@@ -100,26 +100,26 @@ class TestKernelKnob:
 class TestKernelParity:
     @pytest.mark.parametrize("mitigation", sorted(MITIGATION_CLASSES))
     def test_single_core_all_mitigations(self, single_core_config, mitigation):
-        scalar, batched = _run_pair(single_core_config, [3],
-                                    mitigation=mitigation)
-        assert_parity(scalar, batched)
+        scalar, array = _run_pair(single_core_config, [3],
+                                  mitigation=mitigation)
+        assert_parity(scalar, array)
 
     @pytest.mark.parametrize("mitigation", ["PARA", "Hydra", "Graphene"])
     def test_batched_mitigation_variants(self, single_core_config, mitigation):
-        scalar, batched = _run_pair(single_core_config, [3],
-                                    mitigation=mitigation, nrh=64,
-                                    batched_mitigation=True)
-        assert_parity(scalar, batched)
+        scalar, array = _run_pair(single_core_config, [3],
+                                  mitigation=mitigation, nrh=64,
+                                  batched_mitigation=True)
+        assert_parity(scalar, array)
 
     def test_multicore(self, quad_core_config):
-        scalar, batched = _run_pair(quad_core_config, [1, 2, 3, 4],
-                                    mitigation="PARA")
-        assert_parity(scalar, batched)
+        scalar, array = _run_pair(quad_core_config, [1, 2, 3, 4],
+                                  mitigation="PARA")
+        assert_parity(scalar, array)
 
     def test_write_heavy_forwarding(self, single_core_config):
-        scalar, batched = _run_pair(single_core_config, [9],
-                                    write_fraction=0.7, locality=0.2)
-        assert_parity(scalar, batched)
+        scalar, array = _run_pair(single_core_config, [9],
+                                  write_fraction=0.7, locality=0.2)
+        assert_parity(scalar, array)
         assert scalar.controller_stats.forwarded_reads > 0
 
     def test_pacram_policy(self, single_core_config):
@@ -127,24 +127,24 @@ class TestKernelParity:
         from repro.core.pacram import PaCRAM
 
         pacram = pacram_reference_config("H")
-        scalar, batched = _run_pair(
+        scalar, array = _run_pair(
             single_core_config, [5], mitigation="PARA", nrh=8,
             policy_factory=lambda cfg: PaCRAM(cfg, pacram))
-        assert_parity(scalar, batched)
+        assert_parity(scalar, array)
         assert scalar.controller_stats.preventive_refresh_partial > 0
 
     def test_mitigation_counters(self, single_core_config):
         for kernel_mitigations in (False, True):
             traces_s = [_trace(seed=3)]
-            traces_b = [_trace(seed=3)]
+            traces_a = [_trace(seed=3)]
             ms = make_mitigation("Hydra", 64)
-            mb = make_mitigation("Hydra", 64, batched=kernel_mitigations,
+            ma = make_mitigation("Hydra", 64, batched=kernel_mitigations,
                                  config=single_core_config)
             MemorySystem(single_core_config, traces_s,
                          mitigation=ms).run("scalar")
-            MemorySystem(single_core_config, traces_b,
-                         mitigation=mb).run("batched")
-            assert_parity(ms.counters, mb.counters)
+            MemorySystem(single_core_config, traces_a,
+                         mitigation=ma).run("array")
+            assert_parity(ms.counters, ma.counters)
 
 
 class _RecordingObserver:
@@ -165,7 +165,7 @@ class TestObserverStreamParity:
     @pytest.mark.parametrize("mitigation", ["PARA", "RFM", "Hydra"])
     def test_event_streams_identical(self, single_core_config, mitigation):
         streams = []
-        for kernel in ("scalar", "batched"):
+        for kernel in ("scalar", "array"):
             observer = _RecordingObserver()
             system = MemorySystem(
                 single_core_config, [_trace(seed=3)],
@@ -174,7 +174,7 @@ class TestObserverStreamParity:
             system.run(kernel)
             streams.append(observer)
         assert_all_parity(streams[0].events, streams[1].events,
-                          label="batched command stream")
+                          label="array command stream")
         assert streams[0].finalized == streams[1].finalized
         assert len(streams[0].events) > 0
 
