@@ -39,10 +39,12 @@ from repro.service.client import ServiceClient
 #: Ceilings on the service wrapper's cost.  The verb ceilings are loose
 #: for one loopback round-trip (micro-benchmarks on shared CI are
 #: noisy); the per-job ceiling bounds the whole submit->stream->results
-#: envelope around one tiny sweep.
+#: envelope around one tiny sweep.  The stream ceiling sits below the
+#: ~40 ms a Nagle/delayed-ACK stall adds to a replay, so losing
+#: TCP_NODELAY on either end fails it.
 SUBMIT_CEILING_MS = 50.0
 STATUS_CEILING_MS = 50.0
-STREAM_CEILING_MS = 250.0
+STREAM_CEILING_MS = 20.0
 JOB_OVERHEAD_CEILING_S = 2.0
 
 _VERB_REPS = 20

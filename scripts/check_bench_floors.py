@@ -11,9 +11,11 @@ Each payload carries its own bounds:
 * ``ceilings`` — metrics that must not rise above a maximum (the fleet
   coordinator's per-task overhead).
 
-The check fails if a bound regresses, if a bounded metric is missing, or
-if a payload carrying ``array_s``/``before_s`` stopped having the array
-phase strictly faster than the scalar-oracle one.
+The check fails if a bound regresses, if a bounded metric is missing, if
+a payload carrying ``array_s``/``before_s`` stopped having the array
+phase strictly faster than the scalar-oracle one, or if a payload
+carrying ``identical`` (an output byte-compared against its oracle) says
+it is not.
 
 Usage::
 
@@ -57,6 +59,8 @@ def check(payload: dict) -> list[str]:
     if array_s is not None and before_s is not None and array_s >= before_s:
         problems.append(f"array phase ({array_s:.2f}s) not strictly faster "
                         f"than scalar ({before_s:.2f}s)")
+    if payload.get("identical") is False:
+        problems.append("output no longer byte-identical to its oracle")
     return problems
 
 

@@ -156,15 +156,12 @@ def _vendor_boxes(results, tras_factors, metric: str,
                   ) -> dict[str, dict[float, BoxStats]]:
     by_vendor: dict[str, dict[float, list[float]]] = {}
     for module_id, characterization in results.items():
-        vendor = module_id[0]
         vendor_data = by_vendor.setdefault(
-            vendor, {f: [] for f in tras_factors})
+            module_id[0], {f: [] for f in tras_factors})
+        normalized = characterization.normalized_by_factor(metric,
+                                                           tras_factors)
         for factor in tras_factors:
-            if metric == "nrh":
-                values = characterization.normalized_nrh(factor)
-            else:
-                values = characterization.normalized_ber(factor)
-            vendor_data[factor].extend(values)
+            vendor_data[factor].extend(normalized[factor])
     return {
         vendor: {f: BoxStats.from_values(vals) for f, vals in data.items() if vals}
         for vendor, data in by_vendor.items()

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii
+from math import isfinite
+from operator import attrgetter
 from pathlib import Path
 
 from repro.errors import CharacterizationError
@@ -89,15 +92,8 @@ class ModuleCharacterization:
     def normalized_nrh(self, tras_factor: float, n_pr: int = 1) -> list[float]:
         """Per-row N_RH at a test point normalized to the same row's N_RH at
         nominal latency with a single restoration (Fig. 6 data points)."""
-        baseline = {(m.bank, m.row): m.nrh
-                    for m in self.at(tras_factor=1.00, n_pr=1)
-                    if m.vulnerable()}
-        out = []
-        for m in self.at(tras_factor=tras_factor, n_pr=n_pr):
-            base = baseline.get((m.bank, m.row))
-            if base:
-                out.append((m.nrh or 0) / base)
-        return out
+        return self.normalized_by_factor("nrh", (tras_factor,),
+                                         n_pr)[tras_factor]
 
     def wcdp_histogram(self, tras_factor: float = 1.00,
                        n_pr: int = 1) -> dict[str, int]:
@@ -113,26 +109,63 @@ class ModuleCharacterization:
 
     def normalized_ber(self, tras_factor: float, n_pr: int = 1) -> list[float]:
         """Per-row BER normalized to nominal latency (Fig. 9 data points)."""
-        baseline = {(m.bank, m.row): m.ber
-                    for m in self.at(tras_factor=1.00, n_pr=1) if m.ber > 0}
-        out = []
-        for m in self.at(tras_factor=tras_factor, n_pr=n_pr):
+        return self.normalized_by_factor("ber", (tras_factor,),
+                                         n_pr)[tras_factor]
+
+    def normalized_by_factor(self, metric: str, tras_factors, n_pr: int = 1,
+                             ) -> dict[float, list[float]]:
+        """``{factor: normalized_nrh(factor)}`` (``metric="nrh"``) or
+        ``normalized_ber`` for every factor: one scan for the nominal
+        baseline, one to bucket rows by factor.
+
+        Rows match a factor as in :meth:`at`, so a row can feed more than
+        one factor, and each factor's values keep measurement order.
+        """
+        nrh = metric == "nrh"
+        baseline = {}
+        for m in self.measurements:
+            if m.n_pr == 1 and not abs(m.tras_factor - 1.00) > 1e-9 \
+                    and (m.vulnerable() if nrh else m.ber > 0):
+                baseline[(m.bank, m.row)] = m.nrh if nrh else m.ber
+        out: dict[float, list[float]] = {f: [] for f in tras_factors}
+        for m in self.measurements:
+            if m.n_pr != n_pr:
+                continue
             base = baseline.get((m.bank, m.row))
-            if base:
-                out.append(m.ber / base)
+            if not base:
+                continue
+            value = ((m.nrh or 0) if nrh else m.ber) / base
+            for f, values in out.items():
+                if not abs(m.tras_factor - f) > 1e-9:
+                    values.append(value)
         return out
 
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
     def to_json(self) -> str:
-        payload = {
-            "module_id": self.module_id,
-            "seed": self.seed,
-            "model_digest": self.model_digest,
-            "measurements": [asdict(m) for m in self.measurements],
-        }
-        return json.dumps(payload, indent=1)
+        """The result file text: exactly what ``json.dumps(payload,
+        indent=1)`` renders for ``payload = {"module_id", "seed",
+        "model_digest", "measurements": [asdict(m), ...]}``.
+
+        ``json`` skips its C encoder whenever ``indent`` is set, and
+        ``asdict`` deep-copies every row, so this emits the text from a
+        fixed per-row template instead (see :func:`_encode_row`).  The
+        three head values, and rows outside the template's exact types,
+        take ``json``'s own path, so every input renders — or raises — as
+        ``json`` would.
+        """
+        # Rows first: asdict() failures precede json's, as they used to.
+        rows = [_encode_row(m) for m in self.measurements]
+        head = (f'{{\n "module_id": {_dumps(self.module_id, " ")},\n'
+                f' "seed": {_dumps(self.seed, " ")},\n'
+                f' "model_digest": {_dumps(self.model_digest, " ")},\n'
+                f' "measurements": ')
+        if not rows:
+            return head + "[]\n}"
+        body = ",\n".join(row if type(row) is str else "  " + _dumps(row, "  ")
+                          for row in rows)
+        return head + "[\n" + body + "\n ]\n}"
 
     @classmethod
     def from_json(cls, text: str) -> "ModuleCharacterization":
@@ -170,3 +203,59 @@ class ModuleCharacterization:
     @classmethod
     def load(cls, path: str | Path) -> "ModuleCharacterization":
         return cls.from_json(Path(path).read_text())
+
+
+# ----------------------------------------------------------------------
+# the result-file encoder behind ModuleCharacterization.to_json
+# ----------------------------------------------------------------------
+_row_values = attrgetter("bank", "row", "tras_factor", "n_pr",
+                         "temperature_c", "wcdp", "nrh", "ber")
+
+
+def _row_template(nrh_slot: str) -> str:
+    return ('  {\n   "bank": %d,\n   "row": %d,\n   "tras_factor": %r,\n'
+            '   "n_pr": %d,\n   "temperature_c": %r,\n   "wcdp": %s,\n'
+            '   "nrh": ' + nrh_slot + ',\n   "ber": %r\n  }')
+
+
+#: Exact field types -> row text, indented as json's ``indent=1`` puts a
+#: row inside the measurements list.  ``%d``/``%r`` of an exact int/float
+#: are ``int.__repr__``/``float.__repr__``, which is what json writes; the
+#: ``%s`` slot takes the already-escaped ``wcdp``, and ``null%.0s``
+#: swallows a ``None`` nrh.
+_ROW_TEMPLATES = {
+    (int, int, float, int, float, str, int, float): _row_template("%d"),
+    (int, int, float, int, float, str, type(None), float):
+        _row_template("null%.0s"),
+}
+
+
+def _encode_row(m) -> str | dict:
+    """A row's file text, or — for anything the templates do not cover
+    (NaN/inf, bools, other types, subclasses, ints too long to print) —
+    ``asdict(m)`` for json to render."""
+    if type(m) is RowMeasurement:
+        values = _row_values(m)
+        template = _ROW_TEMPLATES.get(tuple(map(type, values)))
+        if template is not None:
+            bank, row, tras_factor, n_pr, temperature_c, wcdp, nrh, ber = values
+            if isfinite(tras_factor) and isfinite(temperature_c) \
+                    and isfinite(ber):
+                try:
+                    return template % (bank, row, tras_factor, n_pr,
+                                       temperature_c,
+                                       encode_basestring_ascii(wcdp), nrh,
+                                       ber)
+                except ValueError:
+                    # An int past the str-conversion digit limit: json
+                    # raises the same error, after the values it writes
+                    # first.
+                    pass
+    return asdict(m)
+
+
+def _dumps(value, pad: str) -> str:
+    """``json.dumps(value, indent=1)`` nested one level deeper per space of
+    ``pad``.  Every newline in that text is structural (``ensure_ascii``
+    escapes the ones inside strings), so shifting them is exact."""
+    return json.dumps(value, indent=1).replace("\n", "\n" + pad)

@@ -79,6 +79,7 @@ from repro.runtime.wire import (
     referenced_blobs,
     resolve_callable,
     send_frame,
+    set_nodelay,
 )
 
 __all__ = ["FleetScheduler", "run_worker", "DEFAULT_LEASE_BATCH",
@@ -444,6 +445,7 @@ class _FleetRun:
                     conn.close()
                     return
                 self._conns.append(conn)
+            set_nodelay(conn)
             threading.Thread(target=self._serve_worker, args=(conn,),
                              daemon=True, name="fleet-worker-conn").start()
 

@@ -38,6 +38,7 @@ control — the loopback fleet the CLI spawns itself always satisfies this.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import importlib
@@ -57,6 +58,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "FrameError",
     "connect_with_retry",
+    "set_nodelay",
     "send_frame",
     "recv_frame",
     "encode_value",
@@ -116,7 +118,8 @@ def connect_with_retry(host: str, port: int, *, timeout_s: float = 10.0,
     with doubling delays (``base_delay_s`` up to ``max_delay_s``) until
     ``timeout_s`` has elapsed, then raises a :class:`ConfigError` naming
     the address, the budget, and the last underlying error — never an
-    indefinite hang.  The returned socket is in blocking mode.
+    indefinite hang.  The returned socket is in blocking mode, with
+    :func:`set_nodelay` applied.
     """
     if timeout_s <= 0:
         raise ConfigError(f"timeout_s must be positive, got {timeout_s}")
@@ -132,7 +135,7 @@ def connect_with_retry(host: str, port: int, *, timeout_s: float = 10.0,
             sock = socket.create_connection((host, port),
                                             timeout=max(remaining, 0.01))
             sock.settimeout(None)
-            return sock
+            return set_nodelay(sock)
         except OSError as error:
             last_error = error
         remaining = deadline - clock()
@@ -144,6 +147,21 @@ def connect_with_retry(host: str, port: int, *, timeout_s: float = 10.0,
     raise ConfigError(
         f"could not connect to {host}:{port} within {timeout_s:g}s "
         f"({attempt} attempt(s); last error: {last_error})")
+
+
+def set_nodelay(sock: socket.socket) -> socket.socket:
+    """Turn off Nagle's algorithm on a frame connection; returns ``sock``.
+
+    Frames are small and a peer often sends several before reading (a
+    ``stream`` replay, a lease followed by its blobs).  With Nagle on,
+    each small write after the first waits for the reader's delayed ACK,
+    stalling the burst about 40 ms.  Both ends of every connection set it.
+    A peer that already reset the connection makes this a no-op: its
+    first read fails anyway, where the caller handles it.
+    """
+    with contextlib.suppress(OSError):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
 # ---------------------------------------------------------------------------

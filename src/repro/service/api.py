@@ -53,6 +53,7 @@ from repro.runtime.wire import (
     FrameError,
     recv_frame,
     send_frame,
+    set_nodelay,
 )
 from repro.service.jobs import DONE, FAILED, JobRecord, JobSpec
 from repro.service.manager import JobManager, RunOptions
@@ -216,6 +217,7 @@ class CharacterizationService:
                 conn, _addr = server.accept()
             except OSError:
                 return  # listener closed: the service is stopping
+            set_nodelay(conn)
             threading.Thread(target=self._serve_conn, args=(conn,),
                              daemon=True, name="service-conn").start()
 

@@ -395,6 +395,46 @@ class TestFleetEndToEnd:
         report = json.loads((tmp_path / "run_report.json").read_text())
         assert set(report["workers"]) == {"ext-1"}
 
+    def test_worker_connections_disable_nagle(self, tmp_path, monkeypatch):
+        """Lease replies and result frames are small request/reply
+        bursts: both ends of a worker connection set TCP_NODELAY."""
+        from repro.runtime import distributed
+        nodelay = {"coordinator": [], "worker": []}
+        serve_worker = distributed._FleetRun._serve_worker
+        connect = distributed.connect_with_retry
+
+        def recording_serve_worker(self, conn):
+            nodelay["coordinator"].append(
+                conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            serve_worker(self, conn)
+
+        def recording_connect(*args, **kwargs):
+            sock = connect(*args, **kwargs)
+            nodelay["worker"].append(
+                sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            return sock
+
+        monkeypatch.setattr(distributed._FleetRun, "_serve_worker",
+                            recording_serve_worker)
+        monkeypatch.setattr(distributed, "connect_with_retry",
+                            recording_connect)
+        pool = make_scheduler("fleet", workers=0, serve="127.0.0.1:0",
+                              report_path=tmp_path / "run_report.json")
+        coordinator = threading.Thread(
+            target=pool.run, args=(_echo_tasks(tmp_path, count=2),),
+            kwargs={"loader": _load_echo})
+        coordinator.start()
+        try:
+            assert pool.serving.wait(timeout=10.0)
+            host, port = pool.bound_address
+            assert run_worker(host, port, worker_id="ext-1",
+                              scratch_dir=tmp_path / "scratch") == 0
+        finally:
+            coordinator.join(timeout=30.0)
+        assert not coordinator.is_alive()
+        assert nodelay["worker"] and all(nodelay["worker"])
+        assert nodelay["coordinator"] and all(nodelay["coordinator"])
+
     def test_digest_payloads_smaller_than_pickled_task(self, tmp_path):
         """The perf claim behind blob interning: once a worker holds the
         config blob, each further lease spec is smaller than the naive

@@ -196,6 +196,27 @@ class TestServiceEndToEnd:
 # ----------------------------------------------------------------------
 # hostile and confused clients
 # ----------------------------------------------------------------------
+def test_both_ends_disable_nagle(service, monkeypatch):
+    """A ``stream`` replay is a burst of small frames to a reader that
+    never writes back; with Nagle on, delayed ACKs stall it ~40 ms."""
+    server_side = []
+    serve_conn = CharacterizationService._serve_conn
+
+    def recording_serve_conn(self, conn):
+        server_side.append(
+            conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+        serve_conn(self, conn)
+
+    monkeypatch.setattr(CharacterizationService, "_serve_conn",
+                        recording_serve_conn)
+    with ServiceClient(service.bound_address) as client:
+        assert client.sock.getsockopt(socket.IPPROTO_TCP,
+                                      socket.TCP_NODELAY)
+        with pytest.raises(ConfigError):
+            client.status("0" * 16)  # one round trip: the server is in
+    assert server_side and all(server_side)
+
+
 class TestServiceRejections:
     def test_unknown_job_id(self, service):
         with ServiceClient(address(service)) as client:
