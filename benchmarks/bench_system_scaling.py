@@ -139,13 +139,14 @@ def _epoch_kernel_margin():
     (best-of-``_EPOCH_ROUNDS`` each) so both see the same cache and
     frequency conditions, and every round's controller stats must match
     the first round's: a fast kernel that changes results is not a fast
-    kernel.
+    kernel.  Both sides build their mechanism the same way, so the ratio
+    compares drain loops over one class per mechanism.
     """
     config = SystemConfig(num_cores=1)
     traces = [double_sided_trace(config, hammers=_EPOCH_HAMMERS)]
 
     def scalar_run(name):
-        mech = make_mitigation(name, _EPOCH_NRH, config=config)
+        mech = make_mitigation(name, _EPOCH_NRH)
         sys_ = MemorySystem(config, traces, mitigation=mech)
         started = time.perf_counter()
         result = sys_._run_scalar()
@@ -153,8 +154,7 @@ def _epoch_kernel_margin():
         return elapsed, result
 
     def array_run(name):
-        mech = make_mitigation(name, _EPOCH_NRH, batched=True,
-                               config=config)
+        mech = make_mitigation(name, _EPOCH_NRH)
         sys_ = MemorySystem(config, traces, mitigation=mech)
         shared = SharedQueues()
         cores = [ArrayCore(core, shared) for core in sys_.cores]

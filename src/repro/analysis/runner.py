@@ -97,9 +97,7 @@ def run_simulation(workload_names: tuple[str, ...], *,
     if pacram is not None:
         policy = PaCRAM(config, pacram)
         effective_nrh = pacram.scaled_nrh(nrh)
-    mechanism = make_mitigation(mitigation, effective_nrh,
-                                batched=(kernel == "array"),
-                                config=config)
+    mechanism = make_mitigation(mitigation, effective_nrh)
     checker = make_checker(
         config, mode=mode,
         partial_limit=(policy.partial_restoration_limit()

@@ -16,6 +16,11 @@ memory-controller plugin:
 
 All mechanisms use a blast radius of 2 (preventive refreshes cover the four
 rows within +/- 2 of an aggressor) to account for Half-Double (§9.1).
+
+Each mechanism is one class.  The same instance serves the scalar drain
+loop (one :meth:`~repro.mitigations.base.MitigationMechanism.on_activation`
+call per activation) and the array drain loop (epoch dispatch, see
+:mod:`repro.mitigations.base`), with identical decisions either way.
 """
 
 from repro.mitigations.base import (
@@ -42,38 +47,14 @@ MITIGATION_CLASSES = {
 }
 
 
-def make_mitigation(name: str, nrh: int, *, batched: bool | None = False,
-                    config=None, **kwargs) -> MitigationMechanism:
-    """Instantiate a mitigation by name, configured for a RowHammer threshold.
-
-    With ``batched=True``, mechanisms that have a flattened variant in
-    :mod:`repro.mitigations.batched` use it (decisions stay bit-identical);
-    the rest fall back to their scalar class.  ``batched=None`` matches the
-    sim kernel the default :class:`repro.exec.ExecutionPolicy` would pick,
-    so a mechanism built without run orchestration still pairs with the
-    drain loop it will serve.  ``config`` (a
-    :class:`~repro.sim.config.SystemConfig`) sizes the flattened tables —
-    without it the batched variants use safe defaults.
-    """
+def make_mitigation(name: str, nrh: int, **kwargs) -> MitigationMechanism:
+    """Instantiate a mitigation by name, configured for a RowHammer threshold."""
     try:
         cls = MITIGATION_CLASSES[name]
     except KeyError:
         raise ValueError(
             f"unknown mitigation {name!r}; known: {sorted(MITIGATION_CLASSES)}"
         ) from None
-    if batched is None:
-        from repro.exec import resolve_kernel
-        batched = resolve_kernel("sim") == "array"
-    if batched:
-        from repro.mitigations.batched import BATCHED_CLASSES
-        batched_cls = BATCHED_CLASSES.get(name)
-        if batched_cls is not None:
-            cls = batched_cls
-            if config is not None:
-                if name in ("Graphene", "Hydra"):
-                    kwargs.setdefault("total_banks", config.total_banks)
-                if name == "Hydra":
-                    kwargs.setdefault("rows_per_bank", config.rows_per_bank)
     return cls(nrh=nrh, **kwargs)
 
 

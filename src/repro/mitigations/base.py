@@ -31,6 +31,14 @@ The default :meth:`on_activation_epoch` replays the epoch through
 is also what offline callers (e.g. the epoch-parity fuzzers) use as the
 reference.  Vectorized overrides must preserve the exact counter values,
 dict insertion orders, and rng consumption of the sequential replay.
+
+Each mechanism is one class serving both drain loops: the scalar loop
+calls :meth:`~MitigationMechanism.on_activation` for every activation,
+the array loop calls it only at epoch boundaries.  The table-based
+mechanisms key their counters by one packed ``(flat_bank << 32) | x``
+integer (:func:`pack_keys`) and merge a credited epoch's activations in
+first-occurrence order (:func:`first_occurrence_counts`), so their
+tables grow on demand and need no system geometry.
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ import abc
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
+
+import numpy as np
 
 from repro.errors import ConfigError, SimulationError
 
@@ -94,6 +104,40 @@ class MetadataAccess:
 
 
 Action = PreventiveRefresh | RfmCommand | MetadataAccess
+
+#: Shared do-nothing result for the (dominant) no-action path: one list
+#: allocation per activation adds up over million-activation sweeps.
+#: A tuple, not a list: the instance is shared across every activation of
+#: every mechanism in the process, so a caller that mutated it (e.g.
+#: ``actions.append(...)`` on a "fresh" result) would silently replay the
+#: appended action on all later activations.  Callers only iterate /
+#: truth-test action sequences; the tuple makes mutation a hard error.
+_NO_ACTIONS: tuple[Action, ...] = ()
+
+
+def pack_keys(flat_banks: Sequence[int], values) -> np.ndarray:
+    """``(flat_bank << 32) | value`` per activation, as one int64 array.
+
+    The same packing the table-based mechanisms use for their scalar dict
+    keys; ``values`` (rows, or row groups) must stay below ``2**32``.
+    """
+    return ((np.asarray(flat_banks, dtype=np.int64) << 32)
+            | np.asarray(values, dtype=np.int64))
+
+
+def first_occurrence_counts(keys) -> tuple[list[int], list[int]]:
+    """Distinct ``keys`` and their multiplicities, in first-occurrence order.
+
+    Merging an epoch in this order inserts new keys into a counter dict
+    exactly where the sequential replay would, so the dict is literally
+    the one per-activation dispatch builds (insertion order and all), not
+    just value-equal — Misra-Gries substitution, for one, breaks ties by
+    insertion order.
+    """
+    uniq, first, occ = np.unique(np.asarray(keys, dtype=np.int64),
+                                 return_index=True, return_counts=True)
+    order = np.argsort(first, kind="stable")
+    return uniq[order].tolist(), occ[order].tolist()
 
 
 @dataclass

@@ -12,15 +12,21 @@ accesses (§3).
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from collections.abc import Sequence
 
-from repro.errors import ConfigError
+import numpy as np
+
+from repro.errors import ConfigError, SimulationError
 from repro.mitigations.base import (
+    _NO_ACTIONS,
+    EPOCH_BULK_MIN,
     Action,
     MetadataAccess,
     MitigationMechanism,
     PreventiveRefresh,
+    first_occurrence_counts,
+    pack_keys,
 )
 
 #: Rows per group counter.
@@ -35,9 +41,16 @@ ROW_FRACTION = 0.5
 
 
 class Hydra(MitigationMechanism):
-    """Hybrid group/row activation tracking with DRAM-resident counters."""
+    """Hybrid group/row activation tracking with DRAM-resident counters.
+
+    Every tier is keyed by one packed integer: the GCT by
+    ``(flat_bank << 32) | group``, the RCC and RCT by
+    ``(flat_bank << 32) | row``, so the tables need no system geometry.
+    """
 
     name = "Hydra"
+    #: Group-counter updates never look at activation times.
+    epoch_needs_times = False
 
     def __init__(self, nrh: int, *, group_size: int = GROUP_SIZE,
                  rcc_entries: int = RCC_ENTRIES) -> None:
@@ -48,46 +61,98 @@ class Hydra(MitigationMechanism):
         self.rcc_entries = rcc_entries
         self.group_threshold = max(1, int(nrh * GROUP_FRACTION))
         self.row_threshold = max(1, int(nrh * ROW_FRACTION))
-        self._gct: dict[tuple[int, int], int] = defaultdict(int)
-        #: RCC: LRU cache of (bank, row) -> count.
-        self._rcc: OrderedDict[tuple[int, int], int] = OrderedDict()
+        #: GCT: packed (bank, group) -> activations this window.
+        self._gct: dict[int, int] = {}
+        #: Largest GCT entry since the last window reset.  While it is
+        #: below ``group_threshold`` no group is hot, every activation
+        #: stays in the pure-counting tier, and ``group_threshold - max``
+        #: activations are provably action-free (the epoch credit).  Once
+        #: any group goes hot the RCC/RCT tiers are order-dependent
+        #: (LRU eviction, metadata traffic), so the credit drops to 0 and
+        #: Hydra steps scalar until the window resets the counters.
+        self._gct_max = 0
+        #: RCC: LRU cache of packed (bank, row) -> count.
+        self._rcc: OrderedDict[int, int] = OrderedDict()
         #: RCT shadow: the in-DRAM table contents (reads/writes modeled as
         #: MetadataAccess traffic; values kept here for correctness).
-        self._rct: dict[tuple[int, int], int] = {}
+        self._rct: dict[int, int] = {}
 
     def on_activation(self, flat_bank: int, row: int,
                       now_ns: float) -> Sequence[Action]:
         self.counters.activations_observed += 1
-        group_key = (flat_bank, row // self.group_size)
-        if self._gct[group_key] < self.group_threshold:
-            self._gct[group_key] += 1
-            return []
+        gct = self._gct
+        group_key = (flat_bank << 32) | row // self.group_size
+        value = gct.get(group_key, 0)
+        if value < self.group_threshold:
+            value += 1
+            gct[group_key] = value
+            if value > self._gct_max:
+                self._gct_max = value
+            return _NO_ACTIONS
         # Hot group: per-row tracking through the RCC, RCT in DRAM behind it.
         actions: list[Action] = []
-        row_key = (flat_bank, row)
-        if row_key in self._rcc:
-            self._rcc.move_to_end(row_key)
-            count = self._rcc[row_key] + 1
+        rcc = self._rcc
+        row_key = (flat_bank << 32) | row
+        if row_key in rcc:
+            rcc.move_to_end(row_key)
+            count = rcc[row_key] + 1
         else:
             # RCC miss: fetch the row's counter from the in-DRAM RCT.
             actions.append(MetadataAccess(flat_bank, reads=1))
             count = self._rct.get(row_key, self.group_threshold) + 1
-            if len(self._rcc) >= self.rcc_entries:
-                evicted_key, evicted_count = self._rcc.popitem(last=False)
+            if len(rcc) >= self.rcc_entries:
+                evicted_key, evicted_count = rcc.popitem(last=False)
                 self._rct[evicted_key] = evicted_count
-                actions.append(MetadataAccess(evicted_key[0], writes=1))
+                actions.append(MetadataAccess(evicted_key >> 32, writes=1))
         if count >= self.row_threshold:
             self.counters.triggers += 1
             actions.append(PreventiveRefresh(flat_bank, row))
             count = 0
-        self._rcc[row_key] = count
+        rcc[row_key] = count
         return actions
 
     def on_refresh_window(self, now_ns: float) -> None:
         """All counters reset once per refresh window."""
         self._gct.clear()
+        self._gct_max = 0
         self._rcc.clear()
         self._rct.clear()
+
+    def epoch_credit(self) -> int:
+        credit = self.group_threshold - self._gct_max
+        return credit if credit > 0 else 0
+
+    def on_activation_epoch(
+        self, flat_banks: Sequence[int] | None, rows: Sequence[int] | None,
+        times: Sequence[float] | None, count: int | None = None,
+    ) -> tuple[tuple[int, ...], list[Action]]:
+        n = count if count is not None else len(flat_banks)
+        if n > self.epoch_credit():
+            return super().on_activation_epoch(flat_banks, rows, times,
+                                               count)
+        self.counters.activations_observed += n
+        group_size = self.group_size
+        if n >= EPOCH_BULK_MIN:
+            groups = np.asarray(rows, dtype=np.int64) // group_size
+            pairs = zip(*first_occurrence_counts(
+                pack_keys(flat_banks, groups)))
+        else:
+            # Small epochs: direct increments, no aggregation round trip.
+            pairs = (((flat_bank << 32) | row // group_size, 1)
+                     for flat_bank, row in zip(flat_banks, rows))
+        gct = self._gct
+        maximum = self._gct_max
+        for group_key, occurrences in pairs:
+            value = gct.get(group_key, 0) + occurrences
+            gct[group_key] = value
+            if value > maximum:
+                maximum = value
+        if maximum > self.group_threshold:  # pragma: no cover - credit guard
+            raise SimulationError(
+                "Hydra epoch pushed a group past its threshold inside a "
+                "credit-guaranteed batch")
+        self._gct_max = maximum
+        return (), []
 
     def area_mm2(self, banks: int) -> float:
         """GCT + RCC SRAM; the RCT lives in DRAM (Hydra's selling point:

@@ -14,14 +14,14 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.mitigations.base import (
     EPOCH_BULK_MIN,
     Action,
     MitigationMechanism,
     RfmCommand,
+    first_occurrence_counts,
+    pack_keys,
 )
 
 #: Back-off threshold as a fraction of N_RH (guard band for the blast
@@ -83,17 +83,9 @@ class PRAC(MitigationMechanism):
                                                count)
         self.counters.activations_observed += n
         if n >= EPOCH_BULK_MIN:
-            # First-occurrence order, so the counter dict is literally the
-            # one the sequential replay would build (insertion order and
-            # all), not just value-equal.
-            keys = ((np.asarray(flat_banks, dtype=np.int64) << 32)
-                    | np.asarray(rows, dtype=np.int64))
-            uniq, first, occ = np.unique(keys, return_index=True,
-                                         return_counts=True)
-            order = np.argsort(first, kind="stable")
+            keys, occ = first_occurrence_counts(pack_keys(flat_banks, rows))
             pairs = [((key >> 32, key & 0xFFFFFFFF), c)
-                     for key, c in zip(uniq[order].tolist(),
-                                       occ[order].tolist())]
+                     for key, c in zip(keys, occ)]
         else:
             # Small epochs: direct increments, no aggregation round trip.
             pairs = (((flat_bank, row), 1)

@@ -15,14 +15,13 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.mitigations.base import (
     EPOCH_BULK_MIN,
     Action,
     MitigationMechanism,
     RfmCommand,
+    first_occurrence_counts,
 )
 
 #: RAAIMT as a fraction of N_RH.  With a blast radius of 2 and bank-granular
@@ -80,15 +79,7 @@ class RFM(MitigationMechanism):
                                                count)
         self.counters.activations_observed += n
         if n >= EPOCH_BULK_MIN:
-            # First-occurrence order, so the counter dict is literally the
-            # one the sequential replay would build (insertion order and
-            # all), not just value-equal.
-            uniq, first, occ = np.unique(np.asarray(flat_banks,
-                                                    dtype=np.int64),
-                                         return_index=True,
-                                         return_counts=True)
-            order = np.argsort(first, kind="stable")
-            pairs = zip(uniq[order].tolist(), occ[order].tolist())
+            pairs = zip(*first_occurrence_counts(flat_banks))
         else:
             # Small epochs: direct increments, no aggregation round trip.
             pairs = ((flat_bank, 1) for flat_bank in flat_banks)

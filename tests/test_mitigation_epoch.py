@@ -5,39 +5,70 @@ Covers the deterministic side of the ``on_activation_epoch`` protocol:
 * the shared ``_NO_ACTIONS`` no-op result is immutable, so a caller that
   mutates a "fresh" result gets a hard error instead of silently
   replaying the appended action on every later activation;
-* ``BatchedPARA``'s single refill site keeps the rng stream identical to
-  scalar PARA across buffer-refill boundaries, in both per-activation
-  and epoch dispatch;
+* PARA's single refill site keeps its block-buffered rng stream identical
+  to :class:`ReferencePARA` (one ``random()`` per activation plus one
+  side draw per trigger) across buffer-refill boundaries, in both
+  per-activation and epoch dispatch;
 * the column opt-out flags (``epoch_needs_rows`` / ``epoch_needs_times``)
   let the kernel drop columns the mechanism never reads, while the base
   sequential-replay fallback still rejects a genuinely missing column;
 * a deterministic scalar-vs-epoch parity sweep over every mechanism,
-  checking actions, counters, rng state, and internal table state
-  (the random/adversarial version lives in
-  ``test_property_mitigation_epoch.py``).
+  with and without a refresh-window reset mid-trace, checking actions,
+  counters, rng state, and internal table state (the random/adversarial
+  version lives in ``test_property_mitigation_epoch.py``).
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.mitigations import make_mitigation
-from repro.mitigations.batched import _NO_ACTIONS, DRAW_BLOCK, BatchedPARA
-from repro.mitigations.para import PARA
+from repro.mitigations.base import (
+    _NO_ACTIONS,
+    EPOCH_BULK_MIN,
+    MitigationMechanism,
+    PreventiveRefresh,
+)
+from repro.mitigations.para import DRAW_BLOCK, PARA, PARA_STRENGTH
 from repro.mitigations.rfm import RFM
-from repro.sim.config import SystemConfig
 
-CONFIG = SystemConfig()
 ALL_MECHANISMS = ("None", "PARA", "Graphene", "Hydra", "RFM", "PRAC")
+
+
+class ReferencePARA(MitigationMechanism):
+    """Per-activation PARA: one ``rng.random()`` per activation, plus one
+    side draw per trigger — the stream PARA's block buffer must match."""
+
+    name = "PARA-reference"
+
+    def __init__(self, nrh, *, strength=PARA_STRENGTH, seed=1):
+        super().__init__(nrh)
+        self.probability = min(1.0, strength / nrh)
+        self._rng = np.random.default_rng(seed)
+        #: Stream positions of the side draws taken so far.
+        self.side_draws = []
+        self._draws = 0
+
+    def on_activation(self, flat_bank, row, now_ns):
+        self.counters.activations_observed += 1
+        self._draws += 1
+        if self._rng.random() >= self.probability:
+            return []
+        self.counters.triggers += 1
+        self.side_draws.append(self._draws)
+        self._draws += 1
+        side = (1, 2) if self._rng.random() < 0.5 else (-1, -2)
+        return [PreventiveRefresh(flat_bank, row, victim_offsets=side)]
 
 
 def snapshot_state(mech):
     """Deep-copy every piece of mutable mechanism state worth comparing."""
     out = {}
-    for attr in ("_raa", "_counts", "_gct_flat", "_rcc_flat", "_rct_flat",
+    for attr in ("_raa", "_counts", "_gct", "_rcc", "_rct",
                  "_buffer_pos", "_raa_max", "_max_count", "_gct_max",
-                 "_bank_max"):
+                 "_bank_max", "_global_max", "_min_room"):
         if hasattr(mech, attr):
             value = getattr(mech, attr)
             if hasattr(value, "items"):
@@ -46,14 +77,22 @@ def snapshot_state(mech):
                 out[attr] = list(value)
             else:
                 out[attr] = value
-    if hasattr(mech, "_table_list"):
+    if hasattr(mech, "_tables"):
         out["tables"] = [
             None if t is None else (list(t.counts.items()), t.spillover)
-            for t in mech._table_list]
-    if hasattr(mech, "_tables"):
-        out["tables"] = {key: (list(t.counts.items()), t.spillover)
-                         for key, t in mech._tables.items()}
+            for t in mech._tables]
     return out
+
+
+def with_window(runner, mech, trace, window_at, *args):
+    """Run ``runner`` over ``trace`` with one refresh-window reset before
+    activation ``window_at`` (``None``: no reset); indices stay global."""
+    if window_at is None:
+        return runner(mech, trace, *args)
+    head = runner(mech, trace[:window_at], *args)
+    mech.on_refresh_window(float(window_at))
+    tail = runner(mech, trace[window_at:], *args)
+    return head + [(window_at + index, acts) for index, acts in tail]
 
 
 def run_scalar(mech, trace):
@@ -132,8 +171,7 @@ class TestNoActionsAliasing:
         """The regression the tuple prevents: a caller appending to one
         activation's "fresh" no-action result must not see (or cause)
         the action replaying on every later activation."""
-        mech = make_mitigation("PARA", nrh=1 << 20, batched=True,
-                               config=CONFIG)
+        mech = make_mitigation("PARA", nrh=1 << 20)
         first = mech.on_activation(0, 1, 0.0)
         assert not first
         with pytest.raises(AttributeError):
@@ -146,46 +184,46 @@ class TestNoActionsAliasing:
 class TestParaRefillStreamIdentity:
     def test_scalar_stream_identical_across_refills(self):
         """> DRAW_BLOCK draws force refills; the block-buffered stream
-        must equal scalar PARA draw for draw, including the extra
-        side-selection draw consumed on each trigger."""
+        must equal the per-activation reference draw for draw, including
+        the extra side-selection draw consumed on each trigger."""
         draws = DRAW_BLOCK * 2 + DRAW_BLOCK // 3
-        scalar = PARA(64, seed=7)
-        batched = BatchedPARA(64, seed=7)
+        reference = ReferencePARA(64, seed=7)
+        mech = PARA(64, seed=7)
         for i in range(draws):
-            a = scalar.on_activation(i & 7, i & 1023, float(i))
-            b = batched.on_activation(i & 7, i & 1023, float(i))
+            a = reference.on_activation(i & 7, i & 1023, float(i))
+            b = mech.on_activation(i & 7, i & 1023, float(i))
             assert list(a) == list(b), f"stream diverged at draw {i}"
-        assert scalar.counters.__dict__ == batched.counters.__dict__
-        # Mid-block the batched rng is exactly one lookahead ahead: its
-        # unconsumed buffer tail must equal scalar PARA's next draws
+        assert reference.counters.__dict__ == mech.counters.__dict__
+        # Mid-block PARA's rng is exactly one lookahead ahead: its
+        # unconsumed buffer tail must equal the reference's next draws
         # (``random(n)`` consumes the identical underlying stream as n
         # scalar ``random()`` calls), after which both generators sit at
         # the same point of the stream.
-        remaining = batched._buffer[batched._buffer_pos:]
-        assert remaining == [scalar._rng.random() for _ in remaining]
-        assert (scalar._rng.bit_generator.state
-                == batched._rng.bit_generator.state)
+        remaining = mech._buffer[mech._buffer_pos:]
+        assert remaining == [reference._rng.random() for _ in remaining]
+        assert (reference._rng.bit_generator.state
+                == mech._rng.bit_generator.state)
 
     def test_epoch_stream_identical_across_refills(self):
         """Epoch dispatch consumes the same stream: driving epochs until
         well past a refill boundary must leave the identical rng state
-        and trigger history as scalar PARA."""
+        and trigger history as the per-activation reference."""
         length = DRAW_BLOCK + DRAW_BLOCK // 2
         rnd = random.Random(11)
         trace = make_trace(rnd, length)
-        scalar = PARA(64, seed=3)
-        batched = BatchedPARA(64, seed=3)
-        expected = run_scalar(scalar, trace)
-        got = run_epoch(batched, trace, random.Random(12))
+        reference = ReferencePARA(64, seed=3)
+        mech = PARA(64, seed=3)
+        expected = run_scalar(reference, trace)
+        got = run_epoch(mech, trace, random.Random(12))
         assert expected == got
-        assert scalar.counters.__dict__ == batched.counters.__dict__
-        remaining = batched._buffer[batched._buffer_pos:]
-        assert remaining == [scalar._rng.random() for _ in remaining]
-        assert (scalar._rng.bit_generator.state
-                == batched._rng.bit_generator.state)
+        assert reference.counters.__dict__ == mech.counters.__dict__
+        remaining = mech._buffer[mech._buffer_pos:]
+        assert remaining == [reference._rng.random() for _ in remaining]
+        assert (reference._rng.bit_generator.state
+                == mech._rng.bit_generator.state)
 
     def test_epoch_credit_never_spans_a_trigger(self):
-        mech = BatchedPARA(16, seed=5)
+        mech = PARA(16, seed=5)
         for _ in range(DRAW_BLOCK // 8):
             credit = mech.epoch_credit()
             if credit:
@@ -223,8 +261,7 @@ class TestEpochColumnFlags:
         assert scalar._raa == epoch._raa
 
     def test_fallback_rejects_genuinely_missing_columns(self):
-        mech = make_mitigation("Graphene", nrh=16, batched=True,
-                               config=CONFIG)
+        mech = make_mitigation("Graphene", nrh=16)
         over = mech.threshold + 8  # force the replay fallback
         with pytest.raises(SimulationError):
             mech.on_activation_epoch([0] * over, None, [0.0] * over)
@@ -232,22 +269,41 @@ class TestEpochColumnFlags:
             mech.on_activation_epoch(None, None, None, count=over)
 
 
+class TestBulkEpochMerge:
+    @pytest.mark.parametrize("name", ("RFM", "PRAC", "Hydra", "Graphene"))
+    def test_bulk_epoch_leaves_replay_state(self, name):
+        """An epoch long enough for the ``np.unique`` merge, whose keys
+        first occur in descending order, must leave the counter dicts
+        exactly as the sequential replay does, insertion order included."""
+        n = EPOCH_BULK_MIN + 64
+        banks = [3 - i % 4 for i in range(n)]
+        rows = [4000 - 128 * (i % 13) for i in range(n)]
+        replayed = make_mitigation(name, 4096)
+        bulk = make_mitigation(name, 4096)
+        assert bulk.epoch_credit() >= n
+        run_scalar(replayed, list(zip(banks, rows, [0.0] * n)))
+        assert bulk.on_activation_epoch(banks, rows, [0.0] * n) == ((), [])
+        assert snapshot_state(bulk) == snapshot_state(replayed)
+        assert bulk.counters.__dict__ == replayed.counters.__dict__
+
+
 @pytest.mark.parametrize("name", ALL_MECHANISMS)
-@pytest.mark.parametrize("batched", [False, True])
-def test_epoch_parity_deterministic_sweep(name, batched):
+@pytest.mark.parametrize("window_reset", [False, True])
+def test_epoch_parity_deterministic_sweep(name, window_reset):
     """Scalar and epoch dispatch agree on actions, counters, and every
-    piece of internal state, across a spread of nRH values and traces."""
+    piece of internal state, across a spread of nRH values and traces —
+    optionally with a refresh-window reset halfway, so the epoch
+    trackers' reset paths are held to the replay too."""
     for trial in range(6):
         rnd = random.Random(trial * 131 + 7)
         nrh = rnd.choice((16, 64, 128, 512, 1024))
         trace = make_trace(rnd, rnd.randrange(100, 900))
-        scalar_mech = make_mitigation(name, nrh, batched=batched,
-                                      config=CONFIG)
-        epoch_mech = make_mitigation(name, nrh, batched=batched,
-                                     config=CONFIG)
-        expected = run_scalar(scalar_mech, trace)
-        got = run_epoch(epoch_mech, trace, rnd)
-        assert expected == got, (name, batched, nrh, trial)
+        window_at = len(trace) // 2 if window_reset else None
+        scalar_mech = make_mitigation(name, nrh)
+        epoch_mech = make_mitigation(name, nrh)
+        expected = with_window(run_scalar, scalar_mech, trace, window_at)
+        got = with_window(run_epoch, epoch_mech, trace, window_at, rnd)
+        assert expected == got, (name, window_reset, nrh, trial)
         assert snapshot_state(scalar_mech) == snapshot_state(epoch_mech)
         assert (scalar_mech.counters.__dict__
                 == epoch_mech.counters.__dict__)

@@ -5,10 +5,11 @@ part — the epoch segmentation itself: epoch lengths are chosen to land
 on, just before, just after, and far past each ``epoch_credit()`` answer,
 so boundaries fall directly around trigger points and exercise both the
 vectorized in-credit paths and the sequential-replay overshoot fallback.
-For every draw, scalar per-activation dispatch and epoch dispatch must
-produce identical actions (at identical trace indices), identical
-counters, identical internal table/counter state, and — for PARA — an
-identical rng stream position.
+A refresh-window reset may fall anywhere in the trace.  For every draw,
+scalar per-activation dispatch and epoch dispatch must produce identical
+actions (at identical trace indices), identical counters, identical
+internal table/counter state, and — for PARA — an identical rng stream
+position.
 """
 
 import pytest
@@ -16,18 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mitigations import make_mitigation
-from repro.sim.config import SystemConfig
 
-from tests.test_mitigation_epoch import run_scalar, snapshot_state
+from tests.test_mitigation_epoch import run_scalar, snapshot_state, with_window
 
-CONFIG = SystemConfig()
 MECHANISMS = ("None", "PARA", "Graphene", "Hydra", "RFM", "PRAC")
 
 
 @st.composite
 def epoch_setups(draw):
     name = draw(st.sampled_from(MECHANISMS))
-    batched = draw(st.booleans())
     nrh = draw(st.sampled_from((8, 16, 64, 128, 512, 1024)))
     length = draw(st.integers(min_value=10, max_value=400))
     hot_banks = draw(st.integers(min_value=1, max_value=4))
@@ -54,7 +52,9 @@ def epoch_setups(draw):
     # keep landing around trigger points as the trace advances.
     offsets = draw(st.lists(st.sampled_from((-3, -1, 0, 0, 0, 1, 2, 7)),
                             min_size=1, max_size=8))
-    return name, batched, nrh, trace, offsets
+    window_at = draw(st.none() | st.integers(min_value=0,
+                                             max_value=length - 1))
+    return name, nrh, trace, offsets, window_at
 
 
 def run_epoch_adversarial(mech, trace, offsets):
@@ -122,21 +122,20 @@ def flatten(result):
 @settings(max_examples=60, deadline=None)
 @given(epoch_setups())
 def test_epoch_dispatch_matches_scalar(setup):
-    name, batched, nrh, trace, offsets = setup
-    scalar_mech = make_mitigation(name, nrh, batched=batched, config=CONFIG)
-    epoch_mech = make_mitigation(name, nrh, batched=batched, config=CONFIG)
-    expected = run_scalar(scalar_mech, trace)
-    got = run_epoch_adversarial(epoch_mech, trace, offsets)
-    assert flatten(expected) == flatten(got), (name, batched, nrh)
+    name, nrh, trace, offsets, window_at = setup
+    scalar_mech = make_mitigation(name, nrh)
+    epoch_mech = make_mitigation(name, nrh)
+    expected = with_window(run_scalar, scalar_mech, trace, window_at)
+    got = with_window(run_epoch_adversarial, epoch_mech, trace, window_at,
+                      offsets)
+    assert flatten(expected) == flatten(got), (name, nrh, window_at)
     assert snapshot_state(scalar_mech) == snapshot_state(epoch_mech), \
-        (name, batched, nrh)
+        (name, nrh, window_at)
     assert scalar_mech.counters.__dict__ == epoch_mech.counters.__dict__
     if name == "PARA":
-        if batched:
-            # Both sides are BatchedPARA here, so both rngs sit one
-            # block-lookahead ahead of consumption: the stream position
-            # comparison is buffer-to-buffer, not buffer-to-fresh-draws.
-            assert scalar_mech._buffer_pos == epoch_mech._buffer_pos
-            assert scalar_mech._buffer == epoch_mech._buffer
+        # Both sides buffer PARA's draws in blocks, so the stream
+        # position comparison is buffer-to-buffer.
+        assert scalar_mech._buffer_pos == epoch_mech._buffer_pos
+        assert scalar_mech._buffer == epoch_mech._buffer
         assert (scalar_mech._rng.bit_generator.state
                 == epoch_mech._rng.bit_generator.state)

@@ -1,7 +1,7 @@
 """Property-based parity: the array kernel is bit-exact with the oracle.
 
-Hypothesis draws random trace shapes, core counts, mitigations (scalar and
-batched variants), and N_RH values; for every draw the array kernel must
+Hypothesis draws random trace shapes, core counts, mitigations, and N_RH
+values; for every draw the array kernel must
 produce the *identical* :class:`SimulationResult` as the scalar oracle —
 same IPC, energy, latency summary, and every controller counter —
 identical mitigation counters, and (separately) identical observer event
@@ -22,7 +22,7 @@ from repro.workloads.synth import TraceSpec, generate_trace
 
 @st.composite
 def sim_setups(draw):
-    """(config, trace specs+seeds, mitigation name, nrh, batched?)."""
+    """(core count, trace specs+seeds, mitigation name, nrh)."""
     num_cores = draw(st.integers(min_value=1, max_value=3))
     traces = []
     for i in range(num_cores):
@@ -40,30 +40,25 @@ def sim_setups(draw):
         traces.append((spec, requests, seed))
     mitigation = draw(st.sampled_from(sorted(MITIGATION_CLASSES)))
     nrh = draw(st.sampled_from([16, 64, 512]))
-    batched_mitigation = draw(st.booleans())
-    return num_cores, traces, mitigation, nrh, batched_mitigation
+    return num_cores, traces, mitigation, nrh
 
 
-def _build(setup, kernel):
-    num_cores, trace_specs, mitigation, nrh, batched_mitigation = setup
+def _build(setup):
+    num_cores, trace_specs, mitigation, nrh = setup
     config = SystemConfig(num_cores=num_cores)
     traces = [generate_trace(spec, requests=requests, seed=seed)
               for spec, requests, seed in trace_specs]
-    mechanism = make_mitigation(
-        mitigation, nrh,
-        batched=(batched_mitigation and kernel == "array"),
-        config=config)
-    return config, traces, mechanism
+    return config, traces, make_mitigation(mitigation, nrh)
 
 
 @pytest.mark.parametrize("fast_kernel", ("array",))
 @given(sim_setups())
 @settings(max_examples=25, deadline=None)
 def test_fast_kernel_matches_scalar_oracle(fast_kernel, setup):
-    config, traces, mechanism_s = _build(setup, "scalar")
+    config, traces, mechanism_s = _build(setup)
     scalar = MemorySystem(config, traces,
                           mitigation=mechanism_s).run("scalar")
-    config, traces, mechanism_f = _build(setup, fast_kernel)
+    config, traces, mechanism_f = _build(setup)
     fast = MemorySystem(config, traces,
                         mitigation=mechanism_f).run(fast_kernel)
     assert asdict(scalar) == asdict(fast)
@@ -87,7 +82,7 @@ class _RecordingObserver:
 def test_observer_event_streams_match(setup):
     streams = []
     for kernel in ("scalar", "array"):
-        config, traces, mechanism = _build(setup, kernel)
+        config, traces, mechanism = _build(setup)
         observer = _RecordingObserver()
         MemorySystem(config, traces, mitigation=mechanism,
                      observer=observer).run(kernel)

@@ -21,12 +21,6 @@ from repro.exec import (
 )
 from repro.exec.parity import assert_all_parity, assert_parity
 from repro.mitigations import MITIGATION_CLASSES, make_mitigation
-from repro.mitigations.batched import (
-    BatchedGraphene,
-    BatchedHydra,
-    BatchedPARA,
-)
-from repro.sim.config import SystemConfig
 from repro.sim.system import MemorySystem
 from repro.workloads.synth import TraceSpec, generate_trace
 
@@ -39,14 +33,12 @@ def _trace(seed=3, requests=1200, **overrides):
 
 
 def _run_pair(config, trace_seeds, *, mitigation=None, nrh=256,
-              batched_mitigation=False, policy_factory=None, **trace_kw):
+              policy_factory=None, **trace_kw):
     """Run identical systems through both kernels; return both results."""
     results = []
     for kernel in ("scalar", "array"):
         traces = [_trace(seed=s, **trace_kw) for s in trace_seeds]
-        batched = batched_mitigation and kernel == "array"
-        mechanism = (make_mitigation(mitigation, nrh, batched=batched,
-                                     config=config)
+        mechanism = (make_mitigation(mitigation, nrh)
                      if mitigation else None)
         policy = policy_factory(config) if policy_factory else None
         system = MemorySystem(config, traces, mitigation=mechanism,
@@ -104,13 +96,6 @@ class TestKernelParity:
                                   mitigation=mitigation)
         assert_parity(scalar, array)
 
-    @pytest.mark.parametrize("mitigation", ["PARA", "Hydra", "Graphene"])
-    def test_batched_mitigation_variants(self, single_core_config, mitigation):
-        scalar, array = _run_pair(single_core_config, [3],
-                                  mitigation=mitigation, nrh=64,
-                                  batched_mitigation=True)
-        assert_parity(scalar, array)
-
     def test_multicore(self, quad_core_config):
         scalar, array = _run_pair(quad_core_config, [1, 2, 3, 4],
                                   mitigation="PARA")
@@ -134,17 +119,13 @@ class TestKernelParity:
         assert scalar.controller_stats.preventive_refresh_partial > 0
 
     def test_mitigation_counters(self, single_core_config):
-        for kernel_mitigations in (False, True):
-            traces_s = [_trace(seed=3)]
-            traces_a = [_trace(seed=3)]
-            ms = make_mitigation("Hydra", 64)
-            ma = make_mitigation("Hydra", 64, batched=kernel_mitigations,
-                                 config=single_core_config)
-            MemorySystem(single_core_config, traces_s,
-                         mitigation=ms).run("scalar")
-            MemorySystem(single_core_config, traces_a,
-                         mitigation=ma).run("array")
-            assert_parity(ms.counters, ma.counters)
+        ms = make_mitigation("Hydra", 64)
+        ma = make_mitigation("Hydra", 64)
+        MemorySystem(single_core_config, [_trace(seed=3)],
+                     mitigation=ms).run("scalar")
+        MemorySystem(single_core_config, [_trace(seed=3)],
+                     mitigation=ma).run("array")
+        assert_parity(ms.counters, ma.counters)
 
 
 class _RecordingObserver:
@@ -177,44 +158,3 @@ class TestObserverStreamParity:
                           label="array command stream")
         assert streams[0].finalized == streams[1].finalized
         assert len(streams[0].events) > 0
-
-
-class TestBatchedMitigationUnits:
-    def test_make_mitigation_selects_batched(self, single_core_config):
-        assert isinstance(
-            make_mitigation("PARA", 128, batched=True), BatchedPARA)
-        assert isinstance(
-            make_mitigation("Hydra", 128, batched=True,
-                            config=single_core_config), BatchedHydra)
-        assert isinstance(
-            make_mitigation("Graphene", 128, batched=True,
-                            config=single_core_config), BatchedGraphene)
-        # No batched variant: fall back to the scalar class.
-        assert type(make_mitigation("RFM", 128, batched=True)).__name__ == "RFM"
-        assert type(make_mitigation("None", 128, batched=True)).__name__ \
-            == "NoMitigation"
-
-    def test_batched_para_draw_stream_matches_scalar(self):
-        scalar = make_mitigation("PARA", 64)
-        batched = make_mitigation("PARA", 64, batched=True)
-        for i in range(5000):
-            assert list(scalar.on_activation(0, i % 97, float(i))) \
-                == list(batched.on_activation(0, i % 97, float(i)))
-
-    def test_batched_hydra_geometry_validation(self):
-        with pytest.raises(ConfigError):
-            BatchedHydra(64, rows_per_bank=0)
-
-    def test_batched_tables_reset_on_refresh_window(self):
-        config = SystemConfig(num_cores=1)
-        for name in ("Hydra", "Graphene"):
-            scalar = make_mitigation(name, 32)
-            batched = make_mitigation(name, 32, batched=True, config=config)
-            for i in range(400):
-                assert list(scalar.on_activation(1, i % 7, float(i))) \
-                    == list(batched.on_activation(1, i % 7, float(i)))
-            scalar.on_refresh_window(1e6)
-            batched.on_refresh_window(1e6)
-            for i in range(400):
-                assert list(scalar.on_activation(1, i % 7, float(i))) \
-                    == list(batched.on_activation(1, i % 7, float(i)))
